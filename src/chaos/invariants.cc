@@ -393,15 +393,20 @@ void check_traffic_conservation(const hdfs::MiniDfs& dfs,
     sent += meter.node_sent_bytes(static_cast<cluster::NodeId>(n));
     received += meter.node_received_bytes(static_cast<cluster::NodeId>(n));
   }
-  if (sent != total) {
+  // Per direction: a node sends node-to-node bytes and client deliveries,
+  // and receives node-to-node bytes and client uploads.
+  const double uploads = meter.client_upload_bytes();
+  const double deliveries = meter.client_delivery_bytes();
+  if (sent != intra + cross + deliveries) {
     std::ostringstream os;
-    os << "per-node sent sum " << sent << " != total " << total;
+    os << "per-node sent sum " << sent
+       << " != node-to-node + delivered bytes " << intra + cross + deliveries;
     report(os.str());
   }
-  if (received != intra + cross) {
+  if (received != intra + cross + uploads) {
     std::ostringstream os;
     os << "per-node received sum " << received
-       << " != node-to-node bytes " << intra + cross;
+       << " != node-to-node + uploaded bytes " << intra + cross + uploads;
     report(os.str());
   }
 }

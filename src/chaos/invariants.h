@@ -34,8 +34,9 @@
 //    the namespace contains none.
 //  * Traffic conservation -- every recorded byte lands in exactly one of
 //    the intra-rack / cross-rack / client buckets, the buckets sum to the
-//    independently-accumulated total, and per-node sent/received sums
-//    agree with the bucket totals. Exact double equality is sound: all
+//    independently-accumulated total, and per direction the per-node sums
+//    match: Σsent == node-to-node + client deliveries, Σreceived ==
+//    node-to-node + client uploads. Exact double equality is sound: all
 //    values are sums of whole byte counts far below 2^53.
 //
 // Fingerprints: storage_fingerprint covers the raw disk contents of every

@@ -40,8 +40,15 @@ void TrafficMeter::record(NodeId from, NodeId to, double bytes) {
 void TrafficMeter::record_to_client(NodeId from, double bytes) {
   DBLREP_CHECK_GE(bytes, 0.0);
   atomic_add(total_, bytes);
-  atomic_add(client_, bytes);
+  atomic_add(client_delivery_, bytes);
   atomic_add(sent_[static_cast<std::size_t>(from)], bytes);
+}
+
+void TrafficMeter::record_from_client(NodeId to, double bytes) {
+  DBLREP_CHECK_GE(bytes, 0.0);
+  atomic_add(total_, bytes);
+  atomic_add(client_upload_, bytes);
+  atomic_add(received_[static_cast<std::size_t>(to)], bytes);
 }
 
 double TrafficMeter::node_sent_bytes(NodeId node) const {
@@ -61,7 +68,8 @@ void TrafficMeter::reset() {
   total_.store(0.0, std::memory_order_relaxed);
   intra_rack_.store(0.0, std::memory_order_relaxed);
   cross_rack_.store(0.0, std::memory_order_relaxed);
-  client_.store(0.0, std::memory_order_relaxed);
+  client_upload_.store(0.0, std::memory_order_relaxed);
+  client_delivery_.store(0.0, std::memory_order_relaxed);
   for (auto& v : sent_) v.store(0.0, std::memory_order_relaxed);
   for (auto& v : received_) v.store(0.0, std::memory_order_relaxed);
 }

@@ -8,10 +8,12 @@
 // sums are exact and independent of accumulation order -- parallel and
 // serial executions of the same work report bit-identical totals.
 //
-// Every recorded byte lands in exactly one of three buckets -- intra-rack,
-// cross-rack, or client -- each its own accumulator, while the grand total
-// is accumulated independently. Conservation (intra + cross + client ==
-// total, exactly) is therefore a checkable invariant of the accounting
+// Every recorded byte lands in exactly one of four buckets -- intra-rack,
+// cross-rack, client upload, or client delivery -- each its own
+// accumulator, while the grand total and the per-node sent/received sums
+// are accumulated independently. Conservation (intra + cross + client ==
+// total, Σsent == node-to-node + deliveries, Σreceived == node-to-node +
+// uploads, all exact) is therefore a checkable invariant of the accounting
 // rather than a definition; the chaos harness asserts it after every event.
 #pragma once
 
@@ -34,8 +36,13 @@ class TrafficMeter {
   /// reads) are ignored -- they never touch the network.
   void record(NodeId from, NodeId to, double bytes);
 
-  /// Records bytes delivered to an off-cluster client (always network).
+  /// Records bytes delivered from `from` to an off-cluster client (always
+  /// network); charged to `from`'s sent bytes.
   void record_to_client(NodeId from, double bytes);
+
+  /// Records bytes uploaded from an off-cluster client to `to` (always
+  /// network); charged to `to`'s received bytes.
+  void record_from_client(NodeId to, double bytes);
 
   double total_bytes() const { return total_.load(std::memory_order_relaxed); }
   double cross_rack_bytes() const {
@@ -45,7 +52,13 @@ class TrafficMeter {
   /// uploads, read/degraded-read deliveries, scrub-heal rewrites). Neither
   /// intra- nor cross-rack: they leave the cluster regardless of topology.
   double client_bytes() const {
-    return client_.load(std::memory_order_relaxed);
+    return client_upload_bytes() + client_delivery_bytes();
+  }
+  double client_upload_bytes() const {
+    return client_upload_.load(std::memory_order_relaxed);
+  }
+  double client_delivery_bytes() const {
+    return client_delivery_.load(std::memory_order_relaxed);
   }
   /// Node-to-node bytes that stayed inside one rack. Independently
   /// accumulated (not derived), so intra + cross + client == total is a
@@ -63,7 +76,8 @@ class TrafficMeter {
   std::atomic<double> total_{0.0};
   std::atomic<double> intra_rack_{0.0};
   std::atomic<double> cross_rack_{0.0};
-  std::atomic<double> client_{0.0};
+  std::atomic<double> client_upload_{0.0};
+  std::atomic<double> client_delivery_{0.0};
   std::vector<std::atomic<double>> sent_;
   std::vector<std::atomic<double>> received_;
 };

@@ -132,11 +132,4 @@ Status StripeCodec::encode_batch(
   return Status::ok();
 }
 
-Status StripeCodec::encode_file(
-    ByteSpan data, std::size_t block_size,
-    const std::function<Status(std::size_t, std::span<const ByteSpan>)>&
-        sink) {
-  return encode_batch(data, block_size, sink);
-}
-
 }  // namespace dblrep::ec

@@ -55,8 +55,7 @@ class StripeCodec {
   /// Stripes needed to hold `length` logical bytes.
   std::size_t stripe_count(std::size_t length, std::size_t block_size) const;
 
-  /// Stripes encode_batch / encode_file fuse per kernel call for this
-  /// block size (>= 1).
+  /// Stripes encode_batch fuses per kernel call for this block size (>= 1).
   std::size_t batch_stripes(std::size_t block_size) const;
 
   /// Encodes one stripe. `stripe_data` holds up to stripe_bytes() logical
@@ -64,8 +63,8 @@ class StripeCodec {
   /// symbol order, each block_size / sub_chunks() bytes (a full block for
   /// alpha == 1 schemes); systematic views alias `stripe_data` where
   /// possible, parity views point into the arena. All views are
-  /// invalidated by the next encode_stripe()/encode_batch()/encode_file()
-  /// call. block_size must be divisible by sub_chunks().
+  /// invalidated by the next encode_stripe()/encode_batch() call.
+  /// block_size must be divisible by sub_chunks().
   std::span<const ByteSpan> encode_stripe(ByteSpan stripe_data,
                                           std::size_t block_size);
 
@@ -78,16 +77,6 @@ class StripeCodec {
   /// error. `data` may cover any number of stripes; the final one may be
   /// ragged (zero-padded).
   Status encode_batch(
-      ByteSpan data, std::size_t block_size,
-      const std::function<Status(std::size_t, std::span<const ByteSpan>)>&
-          sink);
-
-  /// Streams a whole file through the codec: splits `data` into stripes,
-  /// encodes each (batched across stripes), and hands the symbol views to
-  /// `sink(stripe_index, symbols)` before the arena is recycled. Stops and
-  /// propagates the first sink error. (Alias of encode_batch; kept for the
-  /// streaming-file reading of call sites.)
-  Status encode_file(
       ByteSpan data, std::size_t block_size,
       const std::function<Status(std::size_t, std::span<const ByteSpan>)>&
           sink);

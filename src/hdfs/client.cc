@@ -1,21 +1,17 @@
 #include "hdfs/client.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 namespace dblrep::hdfs {
 
 namespace {
 
-/// ClientOptions override > DBLREP_CLIENT_INFLIGHT > 2 * (workers + 1).
-/// The "+ 1" counts the appending thread itself; doubling keeps every
-/// worker fed while the client encodes ahead.
+/// ClientOptions override > 2 * (workers + 1). The "+ 1" counts the
+/// appending thread itself; doubling keeps every worker fed while the
+/// client encodes ahead.
 std::size_t resolve_max_inflight(const MiniDfs& dfs,
                                  const ClientOptions& options) {
   if (options.max_inflight_stripes > 0) return options.max_inflight_stripes;
-  const auto parsed =
-      exec::ThreadPool::parse_worker_count(std::getenv("DBLREP_CLIENT_INFLIGHT"));
-  if (parsed.has_value() && *parsed > 0) return *parsed;
   return 2 * (dfs.pool().num_workers() + 1);
 }
 

@@ -49,8 +49,7 @@ namespace dblrep::hdfs {
 struct ClientOptions {
   /// Stripe stores a FileWriter keeps in flight before append blocks on
   /// the oldest one. Bounds ingest memory to max_inflight_stripes stripe
-  /// buffers. 0 = auto: DBLREP_CLIENT_INFLIGHT when set, else
-  /// 2 * (pool workers + 1).
+  /// buffers. 0 = auto: 2 * (pool workers + 1).
   std::size_t max_inflight_stripes = 0;
 
   /// Transfer classes this handle's traffic is accounted under. Foreground

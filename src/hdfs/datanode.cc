@@ -6,25 +6,35 @@ Status DataNode::put(cluster::SlotAddress address, Buffer bytes) {
   if (!is_up()) return unavailable_error("datanode down");
   StoredBlock block;
   block.crc = crc32c(bytes);
-  block.bytes = std::move(bytes);
+  block.bytes = std::make_shared<const Buffer>(std::move(bytes));
   std::lock_guard<std::mutex> lock(mu_);
   blocks_[address] = std::move(block);
   return Status::ok();
 }
 
-Result<Buffer> DataNode::get(cluster::SlotAddress address) const {
+Result<DataNode::Block> DataNode::read(cluster::SlotAddress address) const {
   if (!is_up()) return unavailable_error("datanode down");
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = blocks_.find(address);
-  if (it == blocks_.end()) {
-    return not_found_error("block not on this datanode");
+  StoredBlock block;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const auto it = blocks_.find(address);
+    if (it == blocks_.end()) {
+      return not_found_error("block not on this datanode");
+    }
+    block = it->second;
   }
-  if (crc32c(it->second.bytes) != it->second.crc) {
+  if (crc32c(*block.bytes) != block.crc) {
     return corruption_error("checksum mismatch on stripe " +
                             std::to_string(address.stripe) + " slot " +
                             std::to_string(address.slot));
   }
-  return it->second.bytes;
+  return std::move(block.bytes);
+}
+
+Result<Buffer> DataNode::get(cluster::SlotAddress address) const {
+  auto block = read(address);
+  if (!block.is_ok()) return block.status();
+  return **block;
 }
 
 bool DataNode::has(cluster::SlotAddress address) const {
@@ -52,7 +62,7 @@ std::size_t DataNode::bytes_stored() const {
   std::size_t total = 0;
   for (const auto& [address, block] : blocks_) {
     (void)address;
-    total += block.bytes.size();
+    total += block.bytes->size();
   }
   return total;
 }
@@ -73,10 +83,13 @@ Status DataNode::corrupt(cluster::SlotAddress address, std::size_t byte_index) {
   if (it == blocks_.end()) {
     return not_found_error("block not on this datanode");
   }
-  if (byte_index >= it->second.bytes.size()) {
+  if (byte_index >= it->second.bytes->size()) {
     return invalid_argument_error("corrupt index out of range");
   }
-  it->second.bytes[byte_index] ^= 0xff;  // CRC left stale on purpose
+  // Copy-on-write: readers holding the old bytes keep them intact.
+  auto flipped = std::make_shared<Buffer>(*it->second.bytes);
+  (*flipped)[byte_index] ^= 0xff;  // CRC left stale on purpose
+  it->second.bytes = std::move(flipped);
   return Status::ok();
 }
 
@@ -86,7 +99,7 @@ Result<Buffer> DataNode::peek(cluster::SlotAddress address) const {
   if (it == blocks_.end()) {
     return not_found_error("block not on this datanode");
   }
-  return it->second.bytes;
+  return *it->second.bytes;
 }
 
 std::vector<cluster::SlotAddress> DataNode::stored_addresses() const {

@@ -8,11 +8,15 @@
 // the node is one shard of the DFS-wide store -- operations on different
 // nodes never contend, operations on the same node serialize exactly as a
 // real datanode's disk queue would. Liveness is a separate atomic so
-// is_up() probes never touch the block-map lock.
+// is_up() probes never touch the block-map lock. Stored bytes are
+// immutable and shared: a read takes a reference under the lock and runs
+// the checksum outside it, and a later put, drop or fail never disturbs a
+// reader still holding the old bytes.
 #pragma once
 
 #include <atomic>
 #include <map>
+#include <memory>
 #include <mutex>
 
 #include "cluster/catalog.h"
@@ -23,6 +27,9 @@ namespace dblrep::hdfs {
 
 class DataNode {
  public:
+  /// A stored block replica: immutable, shared with readers.
+  using Block = std::shared_ptr<const Buffer>;
+
   explicit DataNode(cluster::NodeId id) : id_(id) {}
 
   DataNode(const DataNode&) = delete;
@@ -40,7 +47,10 @@ class DataNode {
     return put(address, Buffer(bytes.begin(), bytes.end()));
   }
 
-  /// Reads a block replica, verifying its checksum.
+  /// Reads a block replica, verifying its checksum, without copying it.
+  Result<Block> read(cluster::SlotAddress address) const;
+
+  /// Copying form of read().
   Result<Buffer> get(cluster::SlotAddress address) const;
 
   bool has(cluster::SlotAddress address) const;
@@ -72,7 +82,7 @@ class DataNode {
 
  private:
   struct StoredBlock {
-    Buffer bytes;
+    Block bytes;
     std::uint32_t crc = 0;
   };
 

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstring>
 #include <limits>
+#include <numeric>
 
 #include "ec/layering.h"
 #include "ec/registry.h"
@@ -186,71 +187,43 @@ Result<cluster::StripeId> MiniDfs::allocate_stripe(const std::string& path) {
   return stripes->front();
 }
 
-Status MiniDfs::store_stripe_bytes(SchemeRuntime& rt, std::size_t block_size,
-                                   cluster::StripeId stripe,
-                                   ByteSpan stripe_data,
-                                   net::TransferClass cls) {
-  const ec::CodeScheme& code = *rt.code;
-  if (stripe_data.empty() ||
-      stripe_data.size() > code.data_blocks() * block_size) {
-    return invalid_argument_error("stripe data must cover (0, stripe] bytes");
-  }
-  // Encode + store: the caller's worker checks out its own codec;
-  // systematic symbols are zero-copy views into `stripe_data`, parities
-  // come out of the leased codec's arena. The stripe stays *unsealed*
-  // until commit_write: sealing per stripe here would expose it to
-  // concurrent repair/scrub passes while the transaction can still abort,
-  // and abort_write unregistering a stripe a repair is persisting is
-  // exactly the dangling-reference race the seal flag exists to prevent.
-  auto lease = rt.runtimes->acquire();
-  const auto symbols = lease->codec.encode_stripe(stripe_data, block_size);
-  const auto& layout = code.layout();
-  for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-    const cluster::NodeId node = namenode_.node_of({stripe, slot});
-    DBLREP_RETURN_IF_ERROR(datanodes_[static_cast<std::size_t>(node)].put(
-        {stripe, slot}, symbols[layout.symbol_of_slot(slot)]));
-    // Client -> datanode transfer (the client is off-cluster), charged at
-    // the slot payload size: a full block for α == 1, one sub-chunk for
-    // sub-packetized schemes.
-    account_upload(node,
-                   static_cast<double>(
-                       symbols[layout.symbol_of_slot(slot)].size()),
-                   cls);
-  }
-  return Status::ok();
-}
-
 Status MiniDfs::store_stripe_batch(SchemeRuntime& rt, std::size_t block_size,
                                    std::span<const cluster::StripeId> stripes,
-                                   ByteSpan data) {
+                                   ByteSpan data, net::TransferClass cls) {
   const ec::CodeScheme& code = *rt.code;
-  if (data.empty()) {
-    return invalid_argument_error("stripe batch data must be non-empty");
+  const std::size_t stripe_bytes = code.data_blocks() * block_size;
+  if (data.empty() ||
+      (data.size() + stripe_bytes - 1) / stripe_bytes != stripes.size()) {
+    return invalid_argument_error(
+        "stripe data must be non-empty and span exactly the given stripes");
   }
   // One codec lease for the whole range: encode_batch fuses the parity
   // passes of up to StripeCodec::kMaxBatchStripes stripes into single
-  // coefficient-block walks, and the sink below persists each stripe's
-  // symbol views before the next batch recycles the arena. Store semantics
-  // (unsealed until commit, per-slot traffic accounting) match
-  // store_stripe_bytes exactly; the sink's stripe index is relative to
-  // `data`, so stripes[s] maps it back to the allocated id.
+  // coefficient-block walks; systematic symbols are zero-copy views into
+  // `data`, parities come out of the leased codec's arena, and the sink
+  // below persists each stripe's symbols before the next batch recycles
+  // it. The sink's stripe index is relative to `data`, so stripes[s] maps
+  // it back to the allocated id. Stripes stay *unsealed* until
+  // commit_write: sealing here would expose them to concurrent
+  // repair/scrub passes while the transaction can still abort, and
+  // abort_write unregistering a stripe a repair is persisting is exactly
+  // the dangling-reference race the seal flag exists to prevent.
   auto lease = rt.runtimes->acquire();
-  DBLREP_CHECK_EQ(stripes.size(),
-                  lease->codec.stripe_count(data.size(), block_size));
   const auto& layout = code.layout();
   return lease->codec.encode_batch(
       data, block_size,
       [&](std::size_t s, std::span<const ByteSpan> symbols) -> Status {
         const cluster::StripeId stripe = stripes[s];
         for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
+          const ByteSpan symbol = symbols[layout.symbol_of_slot(slot)];
           const cluster::NodeId node = namenode_.node_of({stripe, slot});
           DBLREP_RETURN_IF_ERROR(
-              datanodes_[static_cast<std::size_t>(node)].put(
-                  {stripe, slot}, symbols[layout.symbol_of_slot(slot)]));
-          account_upload(node,
-                         static_cast<double>(
-                             symbols[layout.symbol_of_slot(slot)].size()),
-                         net::TransferClass::kClientWrite);
+              datanodes_[static_cast<std::size_t>(node)].put({stripe, slot},
+                                                            symbol));
+          // Client -> datanode transfer (the client is off-cluster),
+          // charged at the slot payload size: a full block for α == 1, one
+          // sub-chunk for sub-packetized schemes.
+          account_upload(node, static_cast<double>(symbol.size()), cls);
         }
         return Status::ok();
       });
@@ -265,8 +238,9 @@ Status MiniDfs::store_stripe(const std::string& path,
   }
   auto rt_result = runtime(open->code_spec);
   if (!rt_result.is_ok()) return rt_result.status();
-  DBLREP_RETURN_IF_ERROR(store_stripe_bytes(**rt_result, open->block_size,
-                                            stripe, stripe_data, cls));
+  DBLREP_RETURN_IF_ERROR(store_stripe_batch(
+      **rt_result, open->block_size,
+      std::span<const cluster::StripeId>(&stripe, 1), stripe_data, cls));
 
   // Progress accounting (journaled) for stat() of the open write.
   return namenode_.record_store(path, stripe, stripe_data.size());
@@ -291,15 +265,20 @@ Status MiniDfs::abort_write(const std::string& path) {
   // invisible to repair, and the unpublished path is invisible to readers).
   auto removed = namenode_.abort_write(path);
   if (!removed.is_ok()) return removed.status();
-  for (const StripePlacement& placement : removed->stripes) {
+  return drop_blocks(*removed);
+}
+
+Status MiniDfs::drop_blocks(const RemovedFile& removed) {
+  for (const StripePlacement& placement : removed.stripes) {
     auto code_result = scheme(placement.code_spec);
     if (!code_result.is_ok()) return code_result.status();
     const auto& layout = (*code_result)->layout();
     for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
       const cluster::NodeId node = placement.group[static_cast<std::size_t>(
           layout.node_of_slot(slot))];
-      auto& dn = datanodes_[static_cast<std::size_t>(node)];
-      if (dn.has({placement.id, slot})) (void)dn.drop({placement.id, slot});
+      // Absent blocks and down nodes are fine: there is nothing to drop.
+      (void)datanodes_[static_cast<std::size_t>(node)].drop(
+          {placement.id, slot});
     }
   }
   return Status::ok();
@@ -358,7 +337,7 @@ Status MiniDfs::write_file(const std::string& path, ByteSpan data,
         return store_stripe_batch(
             rt, block_size,
             std::span<const cluster::StripeId>(stripes->data() + first, count),
-            data.subspan(begin, len));
+            data.subspan(begin, len), net::TransferClass::kClientWrite);
       });
   if (!write_status.is_ok()) return write_status;
   // One journaled length record for the whole file (the batch store path
@@ -372,19 +351,45 @@ Status MiniDfs::write_file(const std::string& path, ByteSpan data,
   return committed;
 }
 
-Result<FileInfo> MiniDfs::lookup_copy(const std::string& path) const {
-  return namenode_.lookup(path);
+MiniDfs::GatheredStripe MiniDfs::gather_stripe(
+    cluster::StripeId stripe) const {
+  const auto& info = namenode_.stripe(stripe);
+  const auto& layout = info.code->layout();
+  GatheredStripe out;
+  for (std::size_t i = 0; i < info.group.size(); ++i) {
+    const auto node = static_cast<ec::NodeIndex>(i);
+    const auto& dn = datanodes_[static_cast<std::size_t>(info.group[i])];
+    // read() is CRC-aware: a corrupted replica on a live node is as
+    // unusable to a plan as a missing one, so it marks its node failed.
+    for (std::size_t slot : layout.slots_on_node(node)) {
+      auto block = dn.read({stripe, slot});
+      if (block.is_ok()) {
+        out.slots.emplace(slot, std::move(*block));
+      } else {
+        out.failed.insert(node);
+      }
+    }
+  }
+  return out;
 }
 
-ec::SlotStore MiniDfs::gather_stripe(cluster::StripeId stripe) const {
-  const auto& info = namenode_.stripe(stripe);
+ec::SlotStore MiniDfs::GatheredStripe::store() const {
   ec::SlotStore store;
-  for (std::size_t slot = 0; slot < info.code->layout().num_slots(); ++slot) {
-    const cluster::NodeId node = namenode_.node_of({stripe, slot});
-    const auto& dn = datanodes_[static_cast<std::size_t>(node)];
-    auto bytes = dn.get({stripe, slot});
-    if (bytes.is_ok()) store[slot] = std::move(*bytes);
-  }
+  for (const auto& [slot, block] : slots) store.emplace(slot, *block);
+  return store;
+}
+
+ec::SlotStore MiniDfs::GatheredStripe::store_for(
+    const ec::RepairPlan& plan) const {
+  ec::SlotStore store;  // a lost slot stays absent; execute() reports it
+  auto add = [&](const std::vector<ec::PartialTerm>& terms) {
+    for (const auto& term : terms) {
+      const auto it = slots.find(term.slot);
+      if (it != slots.end()) store.try_emplace(term.slot, *it->second);
+    }
+  };
+  for (const auto& send : plan.aggregates) add(send.terms);
+  for (const auto& rec : plan.reconstructions) add(rec.local_terms);
   return store;
 }
 
@@ -428,26 +433,13 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
       return out;
     }
   }
-  // On-the-fly repair (Section 3.1): gather the verifiably-good bytes of
-  // the stripe, then treat every code-local node with an unreadable slot
-  // as failed for planning. Probing actual availability (rather than the
-  // cluster's down set) covers down nodes, nodes restarted-but-still-empty
-  // while a repair is in flight, and CRC-broken replicas on live nodes --
-  // and executing over the gathered copies keeps the read stable even if
-  // the stripe changes under it.
-  ec::SlotStore store = gather_stripe(stripe);
-  std::set<ec::NodeIndex> failed;
-  const std::size_t group_size = namenode_.stripe(stripe).group.size();
-  for (std::size_t i = 0; i < group_size; ++i) {
-    for (std::size_t slot :
-         code.layout().slots_on_node(static_cast<ec::NodeIndex>(i))) {
-      if (!store.contains(slot)) {
-        failed.insert(static_cast<ec::NodeIndex>(i));
-        break;
-      }
-    }
-  }
-  auto plan_result = code.plan_degraded_block(block, failed);
+  // On-the-fly repair (Section 3.1): plan against what the stripe can
+  // actually serve -- down nodes, nodes restarted-but-still-empty while a
+  // repair is in flight, and CRC-broken replicas on live nodes alike --
+  // and execute over the gathered bytes, so the read stays stable even
+  // if the stripe changes under it.
+  const GatheredStripe gathered = gather_stripe(stripe);
+  auto plan_result = code.plan_degraded_block(block, gathered.failed);
   if (!plan_result.is_ok()) return plan_result.status();
   ec::RepairPlan plan = std::move(*plan_result);
   const auto& group = namenode_.stripe(stripe).group;
@@ -457,6 +449,7 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
     plan = ec::layer_plan(plan, group_racks(group));
   }
   auto lease = runtime_pool_for(code).acquire();
+  ec::SlotStore store = gathered.store_for(plan);
   auto delivered = lease->executor.execute(plan, store);
   if (!delivered.is_ok()) return delivered.status();
   if (delivered->size() != alpha) {
@@ -493,7 +486,7 @@ Result<Buffer> MiniDfs::read_block(const std::string& path,
                                    std::size_t block_index,
                                    net::TransferClass cls) {
   std::shared_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
-  DBLREP_ASSIGN_OR_RETURN(const FileInfo info, lookup_copy(path));
+  DBLREP_ASSIGN_OR_RETURN(const FileInfo info, namenode_.lookup(path));
   auto code_result = scheme(info.code_spec);
   if (!code_result.is_ok()) return code_result.status();
   const ec::CodeScheme& code = **code_result;
@@ -559,7 +552,7 @@ Result<Buffer> MiniDfs::pread(const std::string& path, std::size_t offset,
   std::shared_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
   // Resolve once: one namespace lookup and one scheme resolution for the
   // whole range, then pread_span moves the bytes.
-  DBLREP_ASSIGN_OR_RETURN(const FileInfo info, lookup_copy(path));
+  DBLREP_ASSIGN_OR_RETURN(const FileInfo info, namenode_.lookup(path));
   auto code_result = scheme(info.code_spec);
   if (!code_result.is_ok()) return code_result.status();
   if (offset > info.length) {
@@ -589,17 +582,7 @@ Status MiniDfs::delete_file(const std::string& path) {
   std::unique_lock<std::shared_mutex> path_lock(namenode_.path_mutex(path));
   auto removed = namenode_.remove_file(path);
   if (!removed.is_ok()) return removed.status();
-  for (const StripePlacement& placement : removed->stripes) {
-    auto code_result = scheme(placement.code_spec);
-    if (!code_result.is_ok()) return code_result.status();
-    const auto& layout = (*code_result)->layout();
-    for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-      const cluster::NodeId node = placement.group[static_cast<std::size_t>(
-          layout.node_of_slot(slot))];
-      auto& dn = datanodes_[static_cast<std::size_t>(node)];
-      if (dn.has({placement.id, slot})) (void)dn.drop({placement.id, slot});
-    }
-  }
+  DBLREP_RETURN_IF_ERROR(drop_blocks(*removed));
   if (options_.access_observer != nullptr) {
     options_.access_observer->on_delete(path);
   }
@@ -625,17 +608,7 @@ Status MiniDfs::replace_file(const std::string& from, const std::string& to) {
   // (complete since its commit_write) -- never a torn mix.
   auto removed = namenode_.replace(from, to);
   if (!removed.is_ok()) return removed.status();
-  for (const StripePlacement& placement : removed->stripes) {
-    auto code_result = scheme(placement.code_spec);
-    if (!code_result.is_ok()) return code_result.status();
-    const auto& layout = (*code_result)->layout();
-    for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-      const cluster::NodeId node = placement.group[static_cast<std::size_t>(
-          layout.node_of_slot(slot))];
-      auto& dn = datanodes_[static_cast<std::size_t>(node)];
-      if (dn.has({placement.id, slot})) (void)dn.drop({placement.id, slot});
-    }
-  }
+  DBLREP_RETURN_IF_ERROR(drop_blocks(*removed));
   if (options_.access_observer != nullptr) {
     options_.access_observer->on_replace(from, to);
   }
@@ -706,7 +679,7 @@ void MiniDfs::account(cluster::NodeId from, cluster::NodeId to, double bytes,
 
 void MiniDfs::account_upload(cluster::NodeId node, double bytes,
                              net::TransferClass cls) {
-  traffic_.record_to_client(node, bytes);
+  traffic_.record_from_client(node, bytes);
   if (options_.transfer_log != nullptr) {
     options_.transfer_log->record(net::kClientEndpoint, node, bytes, cls);
   }
@@ -751,36 +724,20 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
   const auto& info = namenode_.stripe(stripe);
   const ec::CodeScheme& code = *info.code;
 
-  // Which code-local nodes have missing/unreadable slots for this stripe?
-  // The probe is CRC-aware (get(), not has()): a corrupted replica on a
-  // live node is as unusable to a plan as a missing one, and treating it
-  // as failed both keeps the executor from tripping over it and lets the
-  // repair rewrite it -- the chaos sweeps drive exactly this mix of
-  // crashes and bit rot. Different stripes touch disjoint (stripe, slot)
-  // addresses, so this probe never races with a concurrent repair of
-  // another stripe.
-  std::set<ec::NodeIndex> failed;
-  for (std::size_t i = 0; i < info.group.size(); ++i) {
-    const auto& holder = datanodes_[static_cast<std::size_t>(info.group[i])];
-    if (!holder.is_up()) {
-      failed.insert(static_cast<ec::NodeIndex>(i));
-      continue;
-    }
-    for (std::size_t slot :
-         code.layout().slots_on_node(static_cast<ec::NodeIndex>(i))) {
-      if (!holder.get({stripe, slot}).is_ok()) {
-        failed.insert(static_cast<ec::NodeIndex>(i));
-        break;
-      }
-    }
-  }
-  if (failed.empty()) return Status::ok();
+  // One gather serves both planning and execution: the failed set is
+  // every code-local node with an unreadable slot (missing, down, or
+  // CRC-broken -- the chaos sweeps drive exactly this mix of crashes and
+  // bit rot), and the plan then runs over exactly those verified bytes.
+  // Different stripes touch disjoint (stripe, slot) addresses, so this
+  // never races with a concurrent repair of another stripe.
+  const GatheredStripe gathered = gather_stripe(stripe);
+  if (gathered.failed.empty()) return Status::ok();
 
   // The (code, failure-pattern) pair almost always repeats across stripes,
   // so the basis solve behind plan_multi_node_repair runs once per distinct
   // pattern and is replayed -- across threads -- for every affected stripe.
   DBLREP_ASSIGN_OR_RETURN(const ec::RepairPlan* plan,
-                          cached_repair_plan(code, failed));
+                          cached_repair_plan(code, gathered.failed));
   // Layering depends on this stripe's rack assignment, so it happens per
   // stripe over the shared cached plan (a cheap list rewrite -- the GF
   // work on actual blocks dwarfs it).
@@ -790,7 +747,7 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
     plan = &layered;
   }
   auto lease = runtime_pool_for(code).acquire();
-  ec::SlotStore store = gather_stripe(stripe);
+  ec::SlotStore store = gathered.store_for(*plan);
   auto run = lease->executor.execute(*plan, store);
   if (!run.is_ok()) return run.status();
 
@@ -859,7 +816,7 @@ Status MiniDfs::repair_node(cluster::NodeId node) {
   gc_stale_replicas(dn);
 
   // One pass over the node's stripes, fanned out across the pool: each
-  // stripe independently probes its holes, fetches the shared cached plan
+  // stripe independently gathers its slots, fetches the shared cached plan
   // for its failure pattern, and executes with a checked-out executor.
   // parallel_for_all: an unrecoverable stripe must not stop the others
   // from healing, and the set of healed stripes (plus the reported error)
@@ -871,23 +828,44 @@ Status MiniDfs::repair_node(cluster::NodeId node) {
 }
 
 Status MiniDfs::repair_all() {
-  // Restart everyone first so repairs can land replicas on all nodes, then
-  // rebuild node by node (plans see the remaining holes shrink); each
-  // node's stripes are repaired in parallel. A node whose repair fails
-  // (e.g. an unrecoverable stripe) does not stop the sweep: every
-  // recoverable stripe still heals, and the first error -- by node order,
-  // not completion order -- is reported.
+  // Restart everyone first so repairs can land replicas on all nodes; then
+  // one pass visits every stripe any node hosts exactly once. A stripe's
+  // single repair_stripe plans against its full failed set, so it heals
+  // every hole at once -- revisiting it per group member would only find
+  // nothing left to do.
+  std::vector<cluster::StripeId> hosted;  // a stripe once per node it spans
   for (auto& dn : datanodes_) {
     if (!dn.is_up()) dn.restart();
+    gc_stale_replicas(dn);
+    const auto on_node = namenode_.stripes_on_node(dn.id());
+    hosted.insert(hosted.end(), on_node.begin(), on_node.end());
   }
-  Status first_error;
-  for (auto& dn : datanodes_) {
-    Status status = repair_node(dn.id());
-    if (!status.is_ok() && first_error.is_ok()) {
-      first_error = std::move(status);
-    }
-  }
-  return first_error;
+  std::sort(hosted.begin(), hosted.end());
+  std::vector<cluster::StripeId> stripes = hosted;
+  stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+  // Widest stripes first: started last, a wide stripe (heptagon-local spans
+  // 15 nodes) would run on after the others, and when it started would
+  // depend on which narrow stripe happened to free a thread first.
+  const auto width = [&](std::size_t i) {
+    const auto run =
+        std::equal_range(hosted.begin(), hosted.end(), stripes[i]);
+    return run.second - run.first;
+  };
+  std::vector<std::size_t> order(stripes.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return width(a) > width(b);
+                   });
+  // An unrecoverable stripe does not stop the others, and the error
+  // reported is the lowest stripe's, whatever order they ran in.
+  std::vector<Status> results(stripes.size());
+  (void)exec::parallel_for_all(*pool_, order.size(), [&](std::size_t i) {
+    results[order[i]] = repair_stripe(stripes[order[i]]);
+    return Status::ok();
+  });
+  for (const Status& status : results) DBLREP_RETURN_IF_ERROR(status);
+  return Status::ok();
 }
 
 Status MiniDfs::scrub() {
@@ -896,21 +874,20 @@ Status MiniDfs::scrub() {
     if (!code_result.is_ok()) return code_result.status();
     const ec::CodeScheme& code = **code_result;
     for (cluster::StripeId stripe : info.stripes) {
-      ec::SlotStore store;
-      for (std::size_t slot = 0; slot < code.layout().num_slots(); ++slot) {
-        const cluster::NodeId node = namenode_.node_of({stripe, slot});
-        const auto& dn = datanodes_[static_cast<std::size_t>(node)];
-        if (!dn.is_up()) continue;
-        auto bytes = dn.get({stripe, slot});
-        if (bytes.status().code() == StatusCode::kNotFound) {
+      // Down nodes are node repair's business; an unreadable slot on a
+      // live node (missing or CRC-broken) is corruption.
+      const GatheredStripe gathered = gather_stripe(stripe);
+      const auto& group = namenode_.stripe(stripe).group;
+      for (ec::NodeIndex i : gathered.failed) {
+        const cluster::NodeId node = group[static_cast<std::size_t>(i)];
+        if (datanodes_[static_cast<std::size_t>(node)].is_up()) {
           return corruption_error(path + ": stripe " + std::to_string(stripe) +
-                                  " slot " + std::to_string(slot) +
-                                  " missing on live node");
+                                  " has an unreadable slot on live node " +
+                                  std::to_string(node));
         }
-        if (!bytes.is_ok()) return bytes.status();
-        store[slot] = std::move(*bytes);
       }
-      DBLREP_RETURN_IF_ERROR(code.verify_codeword(store, info.block_size));
+      DBLREP_RETURN_IF_ERROR(
+          code.verify_codeword(gathered.store(), info.block_size));
     }
   }
   return Status::ok();
@@ -927,6 +904,7 @@ Result<std::size_t> MiniDfs::scrub_repair() {
     auto code_result = scheme(info.code_spec);
     if (!code_result.is_ok()) return code_result.status();
     const ec::CodeScheme& code = **code_result;
+    const auto& layout = code.layout();
     const Status file_status = exec::parallel_for_all(
         *pool_, info.stripes.size(), [&](std::size_t si) -> Status {
           const cluster::StripeId stripe = info.stripes[si];
@@ -935,32 +913,33 @@ Result<std::size_t> MiniDfs::scrub_repair() {
           // stripe. (Replica-copy would be cheaper per block; decoding
           // keeps this path simple and also heals parity-vs-data
           // inconsistency.)
-          ec::SlotStore good = gather_stripe(stripe);
-          const std::size_t slot_count = code.layout().num_slots();
-          std::vector<std::size_t> bad_slots;
-          for (std::size_t slot = 0; slot < slot_count; ++slot) {
-            const cluster::NodeId node = namenode_.node_of({stripe, slot});
-            const auto& dn = datanodes_[static_cast<std::size_t>(node)];
-            if (!dn.is_up()) continue;  // node repair handles down nodes
-            if (!good.contains(slot)) bad_slots.push_back(slot);
+          const GatheredStripe gathered = gather_stripe(stripe);
+          const auto& group = namenode_.stripe(stripe).group;
+          std::vector<std::pair<cluster::NodeId, std::size_t>> bad_slots;
+          for (ec::NodeIndex i : gathered.failed) {
+            const cluster::NodeId node = group[static_cast<std::size_t>(i)];
+            if (!datanodes_[static_cast<std::size_t>(node)].is_up()) {
+              continue;  // node repair handles down nodes
+            }
+            for (std::size_t slot : layout.slots_on_node(i)) {
+              if (!gathered.slots.contains(slot)) {
+                bad_slots.emplace_back(node, slot);
+              }
+            }
           }
           if (bad_slots.empty()) return Status::ok();
-          auto data = code.decode(good, info.block_size);
+          auto data = code.decode(gathered.store(), info.block_size);
           if (!data.is_ok()) return data.status();
           const auto symbols = code.encode_symbols(*data);
-          for (std::size_t slot : bad_slots) {
-            const cluster::NodeId node = namenode_.node_of({stripe, slot});
+          for (const auto& [node, slot] : bad_slots) {
+            const Buffer& symbol = symbols[layout.symbol_of_slot(slot)];
             DBLREP_RETURN_IF_ERROR(
-                datanodes_[static_cast<std::size_t>(node)].put(
-                    {stripe, slot},
-                    symbols[code.layout().symbol_of_slot(slot)]));
+                datanodes_[static_cast<std::size_t>(node)].put({stripe, slot},
+                                                              symbol));
             // The rewrite is sourced from the decoding site; count the
             // slot's payload (one unit) of traffic per healed replica.
-            account_upload(
-                node,
-                static_cast<double>(
-                    symbols[code.layout().symbol_of_slot(slot)].size()),
-                net::TransferClass::kScrub);
+            account_upload(node, static_cast<double>(symbol.size()),
+                           net::TransferClass::kScrub);
             healed.fetch_add(1);
           }
           return Status::ok();
@@ -984,7 +963,7 @@ const DataNode& MiniDfs::datanode(cluster::NodeId node) const {
 
 Result<const ec::CodeScheme*> MiniDfs::code_for(
     const std::string& path) const {
-  const auto file = lookup_copy(path);
+  const auto file = namenode_.lookup(path);
   if (!file.is_ok()) return file.status();
   std::shared_lock<std::shared_mutex> lock(scheme_mu_);
   const auto it = schemes_.find(file->code_spec);

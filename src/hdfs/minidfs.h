@@ -128,10 +128,10 @@ struct MiniDfsOptions {
   /// behavior (bytes, placement, traffic totals) changes.
   net::TransferLog* transfer_log = nullptr;
 
-  /// Metadata shard count of the sharded NameNode. 0 defers to the
-  /// DBLREP_META_SHARDS environment knob (default 4). Stripe ids come from
-  /// a global counter, so placement, bytes, and traffic are identical for
-  /// every shard count -- only metadata-plane contention changes.
+  /// Metadata shard count of the sharded NameNode (0 = the default, 4).
+  /// Stripe ids come from a global counter, so placement, bytes, and
+  /// traffic are identical for every shard count -- only metadata-plane
+  /// contention changes.
   std::size_t meta_shards = 0;
 
   /// Auto-snapshot a metadata shard once its write-ahead journal holds
@@ -276,13 +276,19 @@ class MiniDfs {
   /// offline_node. Call repair_node to refill any holes.
   Status restart_node(cluster::NodeId node);
 
-  /// Rebuilds everything the (restarted) node should host, using the
-  /// cheapest repair plans available under the current failure set. The
-  /// node's stripes are repaired in parallel across the pool.
+  /// Restarts the node and rebuilds every stripe it hosts, using the
+  /// cheapest repair plans available under the current failure set (a
+  /// stripe's plan also rebuilds its other holes on live nodes). The
+  /// node's stripes are repaired in parallel across the pool; the first
+  /// error is reported by stripe order.
   Status repair_node(cluster::NodeId node);
 
-  /// Restarts and repairs every down node (multi-failure aware: plans are
-  /// computed against the full failed set, partial parities and all).
+  /// Restarts every down node, then repairs each stripe of the cluster
+  /// exactly once, in parallel and widest stripes first (multi-failure
+  /// aware: plans are computed against the stripe's full failed set,
+  /// partial parities and all). An unrecoverable stripe does not stop the
+  /// others from healing; the first error is reported by stripe order,
+  /// not node, dispatch or completion order.
   Status repair_all();
 
   std::set<cluster::NodeId> down_nodes() const;
@@ -356,29 +362,25 @@ class MiniDfs {
   /// across stripes, repair rounds, and threads.
   using PlanKey = std::pair<const ec::CodeScheme*, std::set<ec::NodeIndex>>;
 
-  /// Snapshot of a file's metadata under the namespace lock. FileInfo is
-  /// immutable once published, so the copy stays valid without holding any
-  /// lock while bytes move.
-  Result<FileInfo> lookup_copy(const std::string& path) const;
-
   Result<SchemeRuntime*> runtime(const std::string& code_spec);
   Result<const ec::CodeScheme*> scheme(const std::string& code_spec);
   exec::RuntimePool& runtime_pool_for(const ec::CodeScheme& code) const;
 
-  /// Encode + store core of store_stripe, with the runtime and block size
-  /// already resolved: the bulk write_file path calls this straight from
-  /// its workers so they touch no namespace state.
-  Status store_stripe_bytes(SchemeRuntime& rt, std::size_t block_size,
-                            cluster::StripeId stripe, ByteSpan stripe_data,
-                            net::TransferClass cls);
-
-  /// Batched form: encodes every stripe covering `data` through one leased
-  /// codec (cross-stripe fused parity passes, see StripeCodec::encode_batch)
-  /// and stores stripes[i] from the i-th stripe of `data`. `stripes` must
-  /// have exactly as many entries as stripes of `data`.
+  /// Encode + store core of store_stripe and write_file, with the runtime
+  /// and block size already resolved: encodes every stripe covering `data`
+  /// through one leased codec (cross-stripe fused parity passes, see
+  /// StripeCodec::encode_batch), stores stripes[i] from the i-th stripe of
+  /// `data`, and charges the uploads under `cls`. `data` must be non-empty
+  /// and span exactly stripes.size() stripes (INVALID_ARGUMENT otherwise).
   Status store_stripe_batch(SchemeRuntime& rt, std::size_t block_size,
                             std::span<const cluster::StripeId> stripes,
-                            ByteSpan data);
+                            ByteSpan data, net::TransferClass cls);
+
+  /// Drops every block the removed file's stripes left on the datanodes:
+  /// the data-plane half of abort_write, delete_file and replace_file,
+  /// sourced from the placements the NameNode hands back (the catalog
+  /// entries are already gone).
+  Status drop_blocks(const RemovedFile& removed);
 
   /// Plan for `failed` under `code`, computed once per distinct pattern and
   /// served under a shared-read lock afterwards. The returned pointer stays
@@ -386,9 +388,26 @@ class MiniDfs {
   Result<const ec::RepairPlan*> cached_repair_plan(
       const ec::CodeScheme& code, const std::set<ec::NodeIndex>& failed);
 
-  /// Gathers the live slots of a stripe into a SlotStore (skipping
-  /// corrupted blocks), for decode/repair.
-  ec::SlotStore gather_stripe(cluster::StripeId stripe) const;
+  /// A stripe's CRC-verified slots plus the code-local nodes that cannot
+  /// serve all of theirs. The slots are shared references to the stored
+  /// bytes, so a healthy stripe is checked without copying (or holding a
+  /// second copy of) any block.
+  struct GatheredStripe {
+    std::map<std::size_t, DataNode::Block> slots;
+    std::set<ec::NodeIndex> failed;
+
+    /// Copies every verified slot into a SlotStore.
+    ec::SlotStore store() const;
+    /// Copies only the verified slots `plan` reads, for it to execute on.
+    ec::SlotStore store_for(const ec::RepairPlan& plan) const;
+  };
+
+  /// The one place a stripe's slots are read for planning: every slot
+  /// that reads back CRC-clean is kept, and a node counts as failed when
+  /// any of its slots is unreadable (down, missing, or corrupt). Degraded
+  /// reads, repair, scrub and scrub_repair all plan over -- and execute
+  /// on -- exactly these bytes.
+  GatheredStripe gather_stripe(cluster::StripeId stripe) const;
 
   /// Rack of each code-local node of a placement group, per the topology.
   std::vector<int> group_racks(
@@ -408,7 +427,9 @@ class MiniDfs {
                             std::size_t offset, std::size_t len,
                             net::TransferClass cls);
 
-  /// Repairs one stripe's holes as part of repair_node(node).
+  /// Repairs every hole of one stripe (the per-stripe entry point of
+  /// repair_node and repair_all); a no-op for healthy, unsealed, or
+  /// concurrently deleted stripes.
   Status repair_stripe(cluster::StripeId stripe);
 
   /// Block-report semantics on rejoin: a node returning from a transient
@@ -422,10 +443,12 @@ class MiniDfs {
   /// Node-to-node transfer (repair helper sends, relay hops, ...).
   void account(cluster::NodeId from, cluster::NodeId to, double bytes,
                net::TransferClass cls);
-  /// Client -> node upload (write fan-out, scrub re-injection).
+  /// Client -> node upload (write fan-out, scrub re-injection); charged to
+  /// the node's received bytes.
   void account_upload(cluster::NodeId node, double bytes,
                       net::TransferClass cls);
-  /// Node -> client delivery (read / pread / degraded-read results).
+  /// Node -> client delivery (read / pread / degraded-read results);
+  /// charged to the node's sent bytes.
   void account_delivery(cluster::NodeId node, double bytes,
                         net::TransferClass cls);
 

@@ -1,7 +1,6 @@
 #include "hdfs/namenode.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <mutex>
 #include <tuple>
 #include <utility>
@@ -35,15 +34,7 @@ std::uint64_t fnv1a_u64(std::uint64_t h, std::uint64_t v) {
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 
 std::size_t resolve_shards(std::size_t requested) {
-  std::size_t shards = requested;
-  if (shards == 0) {
-    shards = 4;
-    if (const char* env = std::getenv("DBLREP_META_SHARDS")) {
-      const long parsed = std::strtol(env, nullptr, 10);
-      if (parsed > 0) shards = static_cast<std::size_t>(parsed);
-    }
-  }
-  return std::clamp<std::size_t>(shards, 1, 256);
+  return requested == 0 ? 4 : std::clamp<std::size_t>(requested, 1, 256);
 }
 
 std::vector<std::int32_t> group_to_i32(const std::vector<cluster::NodeId>& g) {
@@ -678,11 +669,6 @@ std::vector<cluster::StripeId> NameNode::stripes_on_node(
   std::sort(out.begin(), out.end());
   out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
-}
-
-std::set<ec::NodeIndex> NameNode::failed_in_stripe(
-    cluster::StripeId id, const std::set<cluster::NodeId>& down_nodes) const {
-  return shards_[route(id)]->catalog.failed_in_stripe(id, down_nodes);
 }
 
 Status NameNode::begin_repair(cluster::StripeId id) {

@@ -74,8 +74,7 @@ using SchemeResolver =
     std::function<Result<const ec::CodeScheme*>(const std::string&)>;
 
 struct NameNodeOptions {
-  /// Metadata shard count. 0 = the DBLREP_META_SHARDS environment knob,
-  /// falling back to 4. Clamped to [1, 256].
+  /// Metadata shard count. 0 = the default, 4. Clamped to [1, 256].
   std::size_t shards = 0;
   /// Auto-snapshot a shard once its journal holds this many records
   /// (0 = manual snapshots only). Snapshots absorb the journal, bounding
@@ -198,8 +197,6 @@ class NameNode {
   std::size_t num_stripes() const;  // live stripes across all shards
   std::vector<cluster::SlotAddress> slots_on_node(cluster::NodeId node) const;
   std::vector<cluster::StripeId> stripes_on_node(cluster::NodeId node) const;
-  std::set<ec::NodeIndex> failed_in_stripe(
-      cluster::StripeId id, const std::set<cluster::NodeId>& down_nodes) const;
 
   /// Repair lease on the owning shard's catalog: pins the stripe so a
   /// concurrent delete/rename-driven unregistration waits for the lease to

@@ -2,21 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 namespace dblrep::tier {
 
 namespace {
 
-/// HeatOptions override > DBLREP_TIER_HALF_LIFE_S > 60s.
+/// HeatOptions override > 60s.
 double resolve_half_life(const HeatOptions& options) {
-  if (options.half_life_s > 0) return options.half_life_s;
-  if (const char* env = std::getenv("DBLREP_TIER_HALF_LIFE_S")) {
-    char* end = nullptr;
-    const double parsed = std::strtod(env, &end);
-    if (end != env && parsed > 0) return parsed;
-  }
-  return 60.0;
+  return options.half_life_s > 0 ? options.half_life_s : 60.0;
 }
 
 }  // namespace

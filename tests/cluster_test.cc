@@ -59,10 +59,22 @@ TEST(TrafficMeter, ClientDeliveryAndReset) {
   const Topology t = setup2_topology();
   TrafficMeter meter(t);
   meter.record_to_client(3, 7e6);
-  EXPECT_DOUBLE_EQ(meter.total_bytes(), 7e6);
+  meter.record_from_client(4, 2e6);
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 9e6);
+  EXPECT_DOUBLE_EQ(meter.client_bytes(), 9e6);
+  EXPECT_DOUBLE_EQ(meter.client_delivery_bytes(), 7e6);
+  EXPECT_DOUBLE_EQ(meter.client_upload_bytes(), 2e6);
+  // A delivery is sent by its node; an upload is received by its node.
+  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(3), 7e6);
+  EXPECT_DOUBLE_EQ(meter.node_received_bytes(3), 0.0);
+  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(4), 0.0);
+  EXPECT_DOUBLE_EQ(meter.node_received_bytes(4), 2e6);
+  EXPECT_DOUBLE_EQ(meter.intra_rack_bytes() + meter.cross_rack_bytes(), 0.0);
   meter.reset();
   EXPECT_DOUBLE_EQ(meter.total_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(meter.client_bytes(), 0.0);
   EXPECT_DOUBLE_EQ(meter.node_sent_bytes(3), 0.0);
+  EXPECT_DOUBLE_EQ(meter.node_received_bytes(4), 0.0);
 }
 
 TEST(TrafficMeter, ConservationHoldsAcrossRandomWorkloads) {
@@ -79,8 +91,11 @@ TEST(TrafficMeter, ConservationHoldsAcrossRandomWorkloads) {
     for (int op = 0; op < 200; ++op) {
       const auto from = static_cast<NodeId>(rng.next_below(t.num_nodes));
       const double bytes = static_cast<double>(rng.next_below(1 << 20));
-      if (rng.bernoulli(0.25)) {
+      const double kind = rng.next_double();
+      if (kind < 0.2) {
         meter.record_to_client(from, bytes);
+      } else if (kind < 0.4) {
+        meter.record_from_client(from, bytes);
       } else {
         meter.record(from, static_cast<NodeId>(rng.next_below(t.num_nodes)),
                      bytes);
@@ -94,11 +109,16 @@ TEST(TrafficMeter, ConservationHoldsAcrossRandomWorkloads) {
       sent += meter.node_sent_bytes(static_cast<NodeId>(n));
       received += meter.node_received_bytes(static_cast<NodeId>(n));
     }
-    EXPECT_EQ(sent, meter.total_bytes());
-    EXPECT_EQ(received, meter.intra_rack_bytes() + meter.cross_rack_bytes());
+    const double node_to_node =
+        meter.intra_rack_bytes() + meter.cross_rack_bytes();
+    EXPECT_EQ(meter.client_upload_bytes() + meter.client_delivery_bytes(),
+              meter.client_bytes());
+    EXPECT_EQ(sent, node_to_node + meter.client_delivery_bytes());
+    EXPECT_EQ(received, node_to_node + meter.client_upload_bytes());
     EXPECT_GE(meter.intra_rack_bytes(), 0.0);
     EXPECT_GE(meter.cross_rack_bytes(), 0.0);
-    EXPECT_GE(meter.client_bytes(), 0.0);
+    EXPECT_GT(meter.client_upload_bytes(), 0.0);
+    EXPECT_GT(meter.client_delivery_bytes(), 0.0);
   }
 }
 

@@ -84,6 +84,26 @@ INSTANTIATE_TEST_SUITE_P(PaperCodes, DfsRoundTripTest,
 
 // ---------------------------------------------------------- basic API
 
+TEST(DataNode, SharedReadsSurviveLaterWritesAndDetectCorruption) {
+  DataNode dn(0);
+  const cluster::SlotAddress address{7, 1};
+  ASSERT_TRUE(dn.put(address, Buffer{1, 2, 3, 4}).is_ok());
+  const auto held = dn.read(address);
+  ASSERT_TRUE(held.is_ok());
+  EXPECT_EQ(**held, (Buffer{1, 2, 3, 4}));
+  // Stored bytes are immutable: a later corruption or overwrite replaces
+  // them without disturbing a reader that still holds the old block.
+  ASSERT_TRUE(dn.corrupt(address, 0).is_ok());
+  EXPECT_EQ(**held, (Buffer{1, 2, 3, 4}));
+  EXPECT_EQ(dn.read(address).status().code(), StatusCode::kCorruption);
+  EXPECT_EQ(dn.get(address).status().code(), StatusCode::kCorruption);
+  ASSERT_TRUE(dn.put(address, Buffer{9}).is_ok());
+  EXPECT_EQ(*dn.get(address), Buffer{9});
+  dn.fail();
+  EXPECT_EQ(**held, (Buffer{1, 2, 3, 4}));
+  EXPECT_EQ(dn.read(address).status().code(), StatusCode::kUnavailable);
+}
+
 TEST(MiniDfs, StatListsAndDeletes) {
   MiniDfs dfs = make_dfs();
   ASSERT_TRUE(dfs.write_file("/a", payload(100), "pentagon", kBlockSize).is_ok());
@@ -155,7 +175,7 @@ TEST(MiniDfs, CorruptReplicaFallsBackToHealthyCopy) {
   const cluster::NodeId holder = dfs.catalog().node_of({stripe, slot0});
   ASSERT_TRUE(dfs.datanode(holder).corrupt({stripe, slot0}, 3).is_ok());
   // Scrub must notice; the read must silently use the second replica.
-  EXPECT_FALSE(dfs.scrub().is_ok());
+  EXPECT_EQ(dfs.scrub().code(), StatusCode::kCorruption);
   const auto block = dfs.read_block("/f", 0);
   ASSERT_TRUE(block.is_ok());
   EXPECT_TRUE(std::equal(block->begin(), block->end(), data.begin()));
@@ -182,25 +202,33 @@ TEST(MiniDfs, BothReplicasCorruptTriggersDegradedRead) {
 }
 
 TEST(MiniDfs, ScrubRepairHealsCorruptReplicas) {
-  MiniDfs dfs = make_dfs();
-  const Buffer data = payload(kBlockSize * 9, 30);
-  ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", kBlockSize).is_ok());
-  const auto info = *dfs.stat("/f");
-  const auto stripe = info.stripes[0];
-  const auto& code = *dfs.code_for("/f").value();
-  // Corrupt one replica of block 0 and one replica of the parity.
-  const std::size_t data_slot = code.layout().slots_of_symbol(0)[0];
-  const std::size_t parity_slot = code.layout().slots_of_symbol(9)[1];
-  for (std::size_t slot : {data_slot, parity_slot}) {
-    const cluster::NodeId holder = dfs.catalog().node_of({stripe, slot});
-    ASSERT_TRUE(dfs.datanode(holder).corrupt({stripe, slot}, 1).is_ok());
+  // Both kinds of damage scrub must report as corruption on a live node: a
+  // CRC-broken replica and a missing one.
+  for (const bool missing : {false, true}) {
+    SCOPED_TRACE(missing ? "missing" : "corrupt");
+    MiniDfs dfs = make_dfs();
+    const Buffer data = payload(kBlockSize * 9, 30);
+    ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", kBlockSize).is_ok());
+    const auto info = *dfs.stat("/f");
+    const auto stripe = info.stripes[0];
+    const auto& code = *dfs.code_for("/f").value();
+    // Damage one replica of block 0 and one replica of the parity.
+    const std::size_t data_slot = code.layout().slots_of_symbol(0)[0];
+    const std::size_t parity_slot = code.layout().slots_of_symbol(9)[1];
+    for (std::size_t slot : {data_slot, parity_slot}) {
+      DataNode& holder = dfs.datanode(dfs.catalog().node_of({stripe, slot}));
+      ASSERT_TRUE(holder.is_up());
+      ASSERT_TRUE((missing ? holder.drop({stripe, slot})
+                           : holder.corrupt({stripe, slot}, 1))
+                      .is_ok());
+    }
+    EXPECT_EQ(dfs.scrub().code(), StatusCode::kCorruption);
+    const auto healed = dfs.scrub_repair();
+    ASSERT_TRUE(healed.is_ok()) << healed.status().to_string();
+    EXPECT_EQ(*healed, 2u);
+    EXPECT_TRUE(dfs.scrub().is_ok());
+    EXPECT_EQ(*dfs.read_file("/f"), data);
   }
-  EXPECT_FALSE(dfs.scrub().is_ok());
-  const auto healed = dfs.scrub_repair();
-  ASSERT_TRUE(healed.is_ok()) << healed.status().to_string();
-  EXPECT_EQ(*healed, 2u);
-  EXPECT_TRUE(dfs.scrub().is_ok());
-  EXPECT_EQ(*dfs.read_file("/f"), data);
 }
 
 TEST(MiniDfs, ScrubRepairHealsEvenWithBothReplicasOfABlockCorrupt) {
@@ -279,10 +307,23 @@ TEST(MiniDfs, HealthyReadTouchesNoInterNodeLinks) {
   MiniDfs dfs = make_dfs();
   const Buffer data = payload(kBlockSize * 9, 9);
   ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", kBlockSize).is_ok());
+  // Per-node direction: the write's uploads are received by the nodes
+  // (20 slots), and nothing is sent.
+  const auto per_node_sums = [&dfs] {
+    double sent = 0, received = 0;
+    for (std::size_t n = 0; n < dfs.topology().num_nodes; ++n) {
+      sent += dfs.traffic().node_sent_bytes(static_cast<cluster::NodeId>(n));
+      received +=
+          dfs.traffic().node_received_bytes(static_cast<cluster::NodeId>(n));
+    }
+    return std::pair{sent, received};
+  };
+  EXPECT_EQ(per_node_sums(), std::pair(0.0, 20.0 * kBlockSize));
   dfs.traffic().reset();
   ASSERT_TRUE(dfs.read_file("/f").is_ok());
   // All bytes go node -> client: exactly 9 blocks, one per data block.
   EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), 9.0 * kBlockSize);
+  EXPECT_EQ(per_node_sums(), std::pair(9.0 * kBlockSize, 0.0));
 }
 
 // -------------------------------------------------------- node repair

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <cstdlib>
 #include <thread>
 
 #include "common/rng.h"
@@ -51,13 +50,15 @@ TEST(HeatTrackerTest, AccruesAndDecaysWithHalfLife) {
   EXPECT_DOUBLE_EQ(heat.heat("/untracked"), 0.0);
 }
 
-TEST(HeatTrackerTest, HalfLifeEnvKnobApplies) {
-  ASSERT_EQ(setenv("DBLREP_TIER_HALF_LIFE_S", "10", 1), 0);
-  HeatTracker heat;  // half_life_s = 0 defers to the env knob
-  unsetenv("DBLREP_TIER_HALF_LIFE_S");
+TEST(HeatTrackerTest, HalfLifeOptionApplies) {
+  HeatTracker heat({.half_life_s = 10.0});
   heat.record_access("/f", 100);
   heat.advance_to(10.0);
   EXPECT_DOUBLE_EQ(heat.heat("/f"), 50.0);
+  HeatTracker fallback;  // half_life_s = 0 selects the 60 s default
+  fallback.record_access("/f", 100);
+  fallback.advance_to(60.0);
+  EXPECT_DOUBLE_EQ(fallback.heat("/f"), 50.0);
 }
 
 TEST(HeatTrackerTest, NamespaceEventsFollowTheFile) {
@@ -139,14 +140,13 @@ TEST(TieringPolicyTest, PromotionRequiresHysteresis) {
   EXPECT_EQ(policy.target_tier(1024 * 4, 2), 1u);
 }
 
-TEST(TieringPolicyTest, ThresholdEnvKnobsApply) {
-  ASSERT_EQ(setenv("DBLREP_TIER_HOT", "100", 1), 0);
-  ASSERT_EQ(setenv("DBLREP_TIER_COLD", "10", 1), 0);
-  TieringPolicy policy;  // empty demote_below defers to the env knobs
-  unsetenv("DBLREP_TIER_HOT");
-  unsetenv("DBLREP_TIER_COLD");
+TEST(TieringPolicyTest, ThresholdOptionsApply) {
+  TieringPolicy policy({.demote_below = {100, 10}});
   EXPECT_DOUBLE_EQ(policy.demote_threshold(0), 100.0);
   EXPECT_DOUBLE_EQ(policy.demote_threshold(1), 10.0);
+  TieringPolicy fallback;  // empty demote_below selects the defaults
+  EXPECT_DOUBLE_EQ(fallback.demote_threshold(0), 4096.0);
+  EXPECT_DOUBLE_EQ(fallback.demote_threshold(1), 1024.0);
 }
 
 TEST(TieringPolicyTest, OffLadderSpecsAreRejected) {
