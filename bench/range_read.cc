@@ -75,7 +75,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     try {
-      if (arg.rfind("--block-size=", 0) == 0) {
+      if (arg == "--help" || arg == "-h") {
+        std::printf(
+            "Usage: %s [--block-size=BYTES] [--stripes=N] [--schemes=CSV]\n"
+            "          [--failures=CSV] [--reps=N] [--json=PATH]\n",
+            argv[0]);
+        return 0;
+      } else if (arg.rfind("--block-size=", 0) == 0) {
         block_size = std::stoull(arg.substr(13));
       } else if (arg.rfind("--stripes=", 0) == 0) {
         stripes = std::stoull(arg.substr(10));

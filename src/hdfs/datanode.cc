@@ -28,6 +28,7 @@ Result<DataNode::Block> DataNode::read(cluster::SlotAddress address) const {
                             std::to_string(address.stripe) + " slot " +
                             std::to_string(address.slot));
   }
+  bytes_read_.fetch_add(block.bytes->size(), std::memory_order_relaxed);
   return std::move(block.bytes);
 }
 

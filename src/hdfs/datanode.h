@@ -53,6 +53,12 @@ class DataNode {
   /// Copying form of read().
   Result<Buffer> get(cluster::SlotAddress address) const;
 
+  /// Bytes of every block read() (and so get()) has returned, summed over
+  /// the node's lifetime; failed reads count nothing.
+  std::size_t bytes_read() const {
+    return bytes_read_.load(std::memory_order_relaxed);
+  }
+
   bool has(cluster::SlotAddress address) const;
   Status drop(cluster::SlotAddress address);
 
@@ -88,6 +94,7 @@ class DataNode {
 
   cluster::NodeId id_;
   std::atomic<bool> up_{true};
+  mutable std::atomic<std::size_t> bytes_read_{0};
   mutable std::mutex mu_;  // guards blocks_
   std::map<cluster::SlotAddress, StoredBlock> blocks_;
 };

@@ -351,26 +351,56 @@ Status MiniDfs::write_file(const std::string& path, ByteSpan data,
   return committed;
 }
 
-MiniDfs::GatheredStripe MiniDfs::gather_stripe(
-    cluster::StripeId stripe) const {
+namespace {
+
+/// The distinct stored slots a plan reads, ascending: every helper term of
+/// its aggregates and every local term of its reconstructions.
+std::vector<std::size_t> helper_slots(const ec::RepairPlan& plan) {
+  std::set<std::size_t> slots;
+  for (const auto& send : plan.aggregates) {
+    for (const auto& term : send.terms) slots.insert(term.slot);
+  }
+  for (const auto& rec : plan.reconstructions) {
+    for (const auto& term : rec.local_terms) slots.insert(term.slot);
+  }
+  return {slots.begin(), slots.end()};
+}
+
+}  // namespace
+
+MiniDfs::GatheredStripe MiniDfs::read_slots(
+    cluster::StripeId stripe, std::span<const std::size_t> slots) const {
   const auto& info = namenode_.stripe(stripe);
   const auto& layout = info.code->layout();
-  GatheredStripe out;
-  for (std::size_t i = 0; i < info.group.size(); ++i) {
-    const auto node = static_cast<ec::NodeIndex>(i);
-    const auto& dn = datanodes_[static_cast<std::size_t>(info.group[i])];
+  // The reads fan out across the pool, each into its own entry, so the
+  // result is keyed by slot and never depends on completion order.
+  std::vector<DataNode::Block> blocks(slots.size());
+  (void)exec::parallel_for_all(*pool_, slots.size(), [&](std::size_t i) {
+    const auto node = static_cast<std::size_t>(layout.node_of_slot(slots[i]));
     // read() is CRC-aware: a corrupted replica on a live node is as
     // unusable to a plan as a missing one, so it marks its node failed.
-    for (std::size_t slot : layout.slots_on_node(node)) {
-      auto block = dn.read({stripe, slot});
-      if (block.is_ok()) {
-        out.slots.emplace(slot, std::move(*block));
-      } else {
-        out.failed.insert(node);
-      }
+    auto block = datanodes_[static_cast<std::size_t>(info.group[node])].read(
+        {stripe, slots[i]});
+    if (block.is_ok()) blocks[i] = std::move(*block);
+    return Status::ok();
+  });
+  GatheredStripe out;
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    if (blocks[i] != nullptr) {
+      out.slots.emplace(slots[i], std::move(blocks[i]));
+    } else {
+      out.failed.insert(layout.node_of_slot(slots[i]));
     }
   }
   return out;
+}
+
+MiniDfs::GatheredStripe MiniDfs::gather_stripe(
+    cluster::StripeId stripe) const {
+  std::vector<std::size_t> all(
+      namenode_.stripe(stripe).code->layout().num_slots());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return read_slots(stripe, all);
 }
 
 ec::SlotStore MiniDfs::GatheredStripe::store() const {
@@ -382,14 +412,10 @@ ec::SlotStore MiniDfs::GatheredStripe::store() const {
 ec::SlotStore MiniDfs::GatheredStripe::store_for(
     const ec::RepairPlan& plan) const {
   ec::SlotStore store;  // a lost slot stays absent; execute() reports it
-  auto add = [&](const std::vector<ec::PartialTerm>& terms) {
-    for (const auto& term : terms) {
-      const auto it = slots.find(term.slot);
-      if (it != slots.end()) store.try_emplace(term.slot, *it->second);
-    }
-  };
-  for (const auto& send : plan.aggregates) add(send.terms);
-  for (const auto& rec : plan.reconstructions) add(rec.local_terms);
+  for (std::size_t slot : helper_slots(plan)) {
+    const auto it = slots.find(slot);
+    if (it != slots.end()) store.emplace(slot, *it->second);
+  }
   return store;
 }
 
@@ -403,7 +429,10 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
   // all α units first and account the deliveries only once the whole block
   // is in hand -- a miss on any unit means the block is served degraded
   // instead, and the abandoned replica reads must not be charged. For
-  // α == 1 this is exactly the old single-replica block read.
+  // α == 1 this is exactly the old single-replica block read. A replica
+  // that fails to read marks its code-local node for the degraded plan
+  // below to route around.
+  std::set<ec::NodeIndex> failed;
   {
     std::vector<std::pair<cluster::NodeId, Buffer>> units;
     units.reserve(alpha);
@@ -420,6 +449,7 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
           got = true;
           break;
         }
+        failed.insert(code.layout().node_of_slot(slot));
       }
       if (!got) break;
     }
@@ -433,21 +463,42 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
       return out;
     }
   }
-  // On-the-fly repair (Section 3.1): plan against what the stripe can
-  // actually serve -- down nodes, nodes restarted-but-still-empty while a
-  // repair is in flight, and CRC-broken replicas on live nodes alike --
-  // and execute over the gathered bytes, so the read stays stable even
-  // if the stripe changes under it.
-  const GatheredStripe gathered = gather_stripe(stripe);
-  auto plan_result = code.plan_degraded_block(block, gathered.failed);
-  if (!plan_result.is_ok()) return plan_result.status();
-  ec::RepairPlan plan = std::move(*plan_result);
+  // On-the-fly repair (Section 3.1). Plan first against what is known
+  // without reading any block bytes -- the down nodes plus the replicas
+  // that just failed -- and fetch only that plan's helpers. If a helper is
+  // unreadable too (CRC-broken, or missing on a node restarted while a
+  // repair is in flight), fall back once to planning over everything the
+  // stripe can actually serve. Either way the plan executes over the bytes
+  // it was made for, so the read stays stable even if the stripe changes
+  // under it.
   const auto& group = namenode_.stripe(stripe).group;
-  // Layered mode: each rack combines its partials locally and sends the
-  // client one payload per rack instead of one per helper.
-  if (options_.layered_repair) {
-    plan = ec::layer_plan(plan, group_racks(group));
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (!datanodes_[static_cast<std::size_t>(group[i])].is_up()) {
+      failed.insert(static_cast<ec::NodeIndex>(i));
+    }
   }
+  const auto plan_over =
+      [&](const std::set<ec::NodeIndex>& unusable) -> Result<ec::RepairPlan> {
+    auto planned = code.plan_degraded_block(block, unusable);
+    if (!planned.is_ok()) return planned.status();
+    // Layered mode: each rack combines its partials locally and sends the
+    // client one payload per rack instead of one per helper.
+    if (options_.layered_repair) {
+      return ec::layer_plan(*planned, group_racks(group));
+    }
+    return std::move(planned).value();
+  };
+  auto plan_result = plan_over(failed);
+  GatheredStripe gathered;
+  if (plan_result.is_ok()) {
+    gathered = read_slots(stripe, helper_slots(*plan_result));
+  }
+  if (!plan_result.is_ok() || !gathered.failed.empty()) {
+    gathered = gather_stripe(stripe);
+    plan_result = plan_over(gathered.failed);
+  }
+  if (!plan_result.is_ok()) return plan_result.status();
+  const ec::RepairPlan& plan = *plan_result;
   auto lease = runtime_pool_for(code).acquire();
   ec::SlotStore store = gathered.store_for(plan);
   auto delivered = lease->executor.execute(plan, store);

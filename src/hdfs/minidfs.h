@@ -388,10 +388,10 @@ class MiniDfs {
   Result<const ec::RepairPlan*> cached_repair_plan(
       const ec::CodeScheme& code, const std::set<ec::NodeIndex>& failed);
 
-  /// A stripe's CRC-verified slots plus the code-local nodes that cannot
-  /// serve all of theirs. The slots are shared references to the stored
-  /// bytes, so a healthy stripe is checked without copying (or holding a
-  /// second copy of) any block.
+  /// CRC-verified slots of a stripe plus the code-local nodes that could
+  /// not serve all of the slots asked of them. The slots are shared
+  /// references to the stored bytes, so a healthy stripe is checked
+  /// without copying (or holding a second copy of) any block.
   struct GatheredStripe {
     std::map<std::size_t, DataNode::Block> slots;
     std::set<ec::NodeIndex> failed;
@@ -402,11 +402,17 @@ class MiniDfs {
     ec::SlotStore store_for(const ec::RepairPlan& plan) const;
   };
 
-  /// The one place a stripe's slots are read for planning: every slot
-  /// that reads back CRC-clean is kept, and a node counts as failed when
-  /// any of its slots is unreadable (down, missing, or corrupt). Degraded
-  /// reads, repair, scrub and scrub_repair all plan over -- and execute
-  /// on -- exactly these bytes.
+  /// Reads `slots` of one stripe, CRC-checked through DataNode::read() and
+  /// fanned out across the pool: every slot that reads back clean is kept,
+  /// and a node counts as failed when any of the listed slots it holds is
+  /// unreadable (down, missing, or corrupt). The result is keyed by slot,
+  /// so it does not depend on the order the reads complete in.
+  GatheredStripe read_slots(cluster::StripeId stripe,
+                            std::span<const std::size_t> slots) const;
+
+  /// read_slots over every slot of the stripe: the whole-stripe view that
+  /// repair, scrub and scrub_repair plan over -- and execute on -- and the
+  /// degraded read's fallback when one of its helpers turns out unreadable.
   GatheredStripe gather_stripe(cluster::StripeId stripe) const;
 
   /// Rack of each code-local node of a placement group, per the topology.
@@ -414,8 +420,13 @@ class MiniDfs {
       const std::vector<cluster::NodeId>& group) const;
 
   /// Reads one data block (all α sub-chunk units) of one stripe with all
-  /// fallbacks -- replica reads first, then a degraded read through
-  /// plan_degraded_block; records traffic at unit granularity.
+  /// fallbacks, recording traffic at unit granularity. Replica reads come
+  /// first. When a unit has no readable replica, the block is served
+  /// degraded through plan_degraded_block: planned against the down nodes
+  /// and the replicas that just failed, executed over only that plan's
+  /// helper slots (read_slots). Should a helper be unreadable as well, the
+  /// read re-plans once over gather_stripe's failed set and executes on
+  /// the bytes that gather verified.
   Result<Buffer> read_data_block(const FileInfo& file,
                                  cluster::StripeId stripe, std::size_t block,
                                  net::TransferClass cls);

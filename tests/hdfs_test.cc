@@ -1,8 +1,13 @@
 // Integration tests for the mini-HDFS data plane: write/read round trips
 // under every code, corruption fallback, failure + degraded reads with the
-// paper's exact repair-bandwidth numbers measured on the wire, node repair,
-// scrub, and the RaidNode re-encoder.
+// paper's exact repair-bandwidth numbers measured on the wire, degraded
+// reads that fetch only their plan's helpers (and their whole-stripe
+// fallback), node repair, scrub, and the RaidNode re-encoder.
 #include <gtest/gtest.h>
+
+#include <ostream>
+#include <set>
+#include <utility>
 
 #include "cluster/topology.h"
 #include "common/rng.h"
@@ -324,6 +329,268 @@ TEST(MiniDfs, HealthyReadTouchesNoInterNodeLinks) {
   // All bytes go node -> client: exactly 9 blocks, one per data block.
   EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), 9.0 * kBlockSize);
   EXPECT_EQ(per_node_sums(), std::pair(9.0 * kBlockSize, 0.0));
+}
+
+// ---------------------------------------- helper-only degraded reads
+
+// Large enough blocks that a 4 KiB pread sits inside one block (and inside
+// one sub-chunk of an α = 2 scheme).
+constexpr std::size_t kPreadBlockSize = 16 * 1024;
+constexpr std::size_t kPreadOffset = 1000;
+constexpr std::size_t kPreadLen = 4096;
+
+std::size_t bytes_read_total(const MiniDfs& dfs) {
+  std::size_t total = 0;
+  for (std::size_t n = 0; n < dfs.topology().num_nodes; ++n) {
+    total += dfs.datanode(static_cast<cluster::NodeId>(n)).bytes_read();
+  }
+  return total;
+}
+
+/// The distinct stored slots a plan reads.
+std::set<std::size_t> plan_helper_slots(const ec::RepairPlan& plan) {
+  std::set<std::size_t> slots;
+  for (const auto& send : plan.aggregates) {
+    for (const auto& term : send.terms) slots.insert(term.slot);
+  }
+  for (const auto& rec : plan.reconstructions) {
+    for (const auto& term : rec.local_terms) slots.insert(term.slot);
+  }
+  return slots;
+}
+
+/// Code-local nodes of a stripe whose DataNode is down: what a degraded
+/// read knows before it reads any block bytes.
+std::set<ec::NodeIndex> down_in_stripe(const MiniDfs& dfs,
+                                       cluster::StripeId stripe) {
+  const auto& group = dfs.catalog().stripe(stripe).group;
+  std::set<ec::NodeIndex> down;
+  for (std::size_t i = 0; i < group.size(); ++i) {
+    if (!dfs.datanode(group[i]).is_up()) {
+      down.insert(static_cast<ec::NodeIndex>(i));
+    }
+  }
+  return down;
+}
+
+/// The whole-stripe gather's failed set: every code-local node with a slot
+/// that does not read back CRC-clean.
+std::set<ec::NodeIndex> gather_failed(const MiniDfs& dfs,
+                                      cluster::StripeId stripe) {
+  const auto& info = dfs.catalog().stripe(stripe);
+  const auto& layout = info.code->layout();
+  std::set<ec::NodeIndex> failed;
+  for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
+    const ec::NodeIndex node = layout.node_of_slot(slot);
+    const auto& dn = dfs.datanode(info.group[static_cast<std::size_t>(node)]);
+    if (!dn.read({stripe, slot}).is_ok()) failed.insert(node);
+  }
+  return failed;
+}
+
+/// Wire bytes a degraded read of `block` is charged when planned over
+/// `failed`: one unit per aggregate, split into (total, client).
+std::pair<double, double> degraded_traffic(
+    const ec::CodeScheme& code, std::size_t block,
+    const std::set<ec::NodeIndex>& failed, std::size_t unit_bytes) {
+  const auto plan = code.plan_degraded_block(block, failed);
+  EXPECT_TRUE(plan.is_ok()) << plan.status().to_string();
+  if (!plan.is_ok()) return {0.0, 0.0};
+  const auto unit = static_cast<double>(unit_bytes);
+  double total = 0, client = 0;
+  for (const auto& send : plan->aggregates) {
+    total += unit;
+    if (send.to_node == ec::kClientNode) client += unit;
+  }
+  return {total, client};
+}
+
+struct HelperOnlyCase {
+  const char* spec;
+  /// Fail the node of block 0's first replica plus this group member,
+  /// instead of both replica holders of block 0.
+  int other_node;
+  /// Distinct helper slots the plan must read; 0 = not pinned.
+  std::size_t expected_slots;
+};
+
+void PrintTo(const HelperOnlyCase& c, std::ostream* os) { *os << c.spec; }
+
+class HelperOnlyDegradedReadTest
+    : public ::testing::TestWithParam<HelperOnlyCase> {};
+
+TEST_P(HelperOnlyDegradedReadTest, ReadsOnlyThePlansHelpers) {
+  const HelperOnlyCase& c = GetParam();
+  MiniDfs dfs = make_dfs();
+  const Buffer data = payload(kPreadBlockSize * 40, 50);
+  ASSERT_TRUE(dfs.write_file("/f", data, c.spec, kPreadBlockSize).is_ok());
+  const auto& scheme = *dfs.code_for("/f").value();
+  const auto& layout = scheme.layout();
+  const auto stripe = dfs.stat("/f")->stripes[0];
+  const auto& group = dfs.catalog().stripe(stripe).group;
+  std::set<ec::NodeIndex> victims;
+  if (c.other_node < 0) {
+    for (std::size_t slot : layout.slots_of_symbol(0)) {
+      victims.insert(layout.node_of_slot(slot));
+    }
+  } else {
+    victims.insert(layout.node_of_slot(layout.slots_of_symbol(0)[0]));
+    victims.insert(static_cast<ec::NodeIndex>(c.other_node));
+  }
+  ASSERT_EQ(victims.size(), 2u);
+  for (ec::NodeIndex v : victims) {
+    ASSERT_TRUE(dfs.fail_node(group[static_cast<std::size_t>(v)]).is_ok());
+  }
+
+  const std::size_t unit_bytes = kPreadBlockSize / scheme.sub_chunks();
+  const auto plan = scheme.plan_degraded_block(0, victims);
+  ASSERT_TRUE(plan.is_ok()) << plan.status().to_string();
+  const std::size_t helpers = plan_helper_slots(*plan).size();
+  if (c.expected_slots != 0) {
+    EXPECT_EQ(helpers, c.expected_slots);
+  }
+
+  dfs.traffic().reset();
+  const std::size_t before = bytes_read_total(dfs);
+  const auto got = dfs.pread("/f", kPreadOffset, kPreadLen);
+  const std::size_t read = bytes_read_total(dfs) - before;
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_TRUE(std::equal(got->begin(), got->end(),
+                         data.begin() + kPreadOffset));
+  EXPECT_EQ(got->size(), kPreadLen);
+  EXPECT_EQ(read, helpers * unit_bytes);
+
+  // Charged exactly like the whole-stripe gather path would be.
+  const auto [total, client] =
+      degraded_traffic(scheme, 0, gather_failed(dfs, stripe), unit_bytes);
+  EXPECT_DOUBLE_EQ(dfs.traffic().total_bytes(), total);
+  EXPECT_DOUBLE_EQ(dfs.traffic().client_bytes(), client);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, HelperOnlyDegradedReadTest,
+    ::testing::Values(HelperOnlyCase{"pentagon", -1, 9},
+                      HelperOnlyCase{"heptagon-local", -1, 20},
+                      HelperOnlyCase{"rs-10-4", 13, 0},
+                      HelperOnlyCase{"pgy-10-4", 13, 0}),
+    [](const auto& info) {
+      std::string name = info.param.spec;
+      for (char& c : name) {
+        if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
+      }
+      return name;
+    });
+
+/// A `spec` file whose first stripe has lost both replica holders of its
+/// block 0.
+struct DoubleFailure {
+  MiniDfs dfs = make_dfs();
+  Buffer data = payload(kPreadBlockSize * 40, 51);
+  cluster::StripeId stripe = 0;
+  const ec::CodeScheme* code = nullptr;
+  ec::RepairPlan plan;  // the helper-only plan over the down nodes
+
+  explicit DoubleFailure(const char* spec) {
+    EXPECT_TRUE(dfs.write_file("/f", data, spec, kPreadBlockSize).is_ok());
+    stripe = dfs.stat("/f")->stripes[0];
+    code = dfs.code_for("/f").value();
+    for (std::size_t slot : code->layout().slots_of_symbol(0)) {
+      EXPECT_TRUE(dfs.fail_node(dfs.catalog().node_of({stripe, slot})).is_ok());
+    }
+    plan = code->plan_degraded_block(0, down_in_stripe(dfs, stripe)).value();
+  }
+
+  DataNode& holder(std::size_t slot) {
+    return dfs.datanode(dfs.catalog().node_of({stripe, slot}));
+  }
+
+  std::size_t helper_bytes() const {
+    return plan_helper_slots(plan).size() * kPreadBlockSize;
+  }
+};
+
+TEST(MiniDfs, DegradedReadFallsBackToTheWholeStripeOnAnUnreadableHelper) {
+  // heptagon-local: a pentagon stripe cannot lose a third node's slots.
+  DoubleFailure f("heptagon-local");
+  const std::size_t helper = *plan_helper_slots(f.plan).begin();
+  ASSERT_TRUE(f.holder(helper).corrupt({f.stripe, helper}, 5).is_ok());
+  f.dfs.traffic().reset();
+  const std::size_t before = bytes_read_total(f.dfs);
+  const auto got = f.dfs.pread("/f", kPreadOffset, kPreadLen);
+  const std::size_t read = bytes_read_total(f.dfs) - before;
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_TRUE(std::equal(got->begin(), got->end(),
+                         f.data.begin() + kPreadOffset));
+  // The helper fetch came up short, so the read re-planned over the whole
+  // stripe and is charged as the gather path plans it.
+  EXPECT_GT(read, f.helper_bytes());
+  const auto [total, client] = degraded_traffic(
+      *f.code, 0, gather_failed(f.dfs, f.stripe), kPreadBlockSize);
+  EXPECT_DOUBLE_EQ(f.dfs.traffic().total_bytes(), total);
+  EXPECT_DOUBLE_EQ(f.dfs.traffic().client_bytes(), client);
+}
+
+TEST(MiniDfs, CorruptSlotOutsideThePlanLeavesItsNodeServing) {
+  // A live helper node with a corrupt slot the plan does not read still
+  // serves the slots it does read: no fallback, only helpers are read.
+  DoubleFailure f("pentagon");
+  const auto& layout = f.code->layout();
+  const auto helpers = plan_helper_slots(f.plan);
+  std::set<ec::NodeIndex> helper_nodes;
+  for (std::size_t slot : helpers) {
+    helper_nodes.insert(layout.node_of_slot(slot));
+  }
+  std::size_t unread = layout.num_slots();
+  for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
+    if (!helpers.contains(slot) &&
+        helper_nodes.contains(layout.node_of_slot(slot))) {
+      unread = slot;
+      break;
+    }
+  }
+  ASSERT_LT(unread, layout.num_slots());
+  ASSERT_TRUE(f.holder(unread).is_up());
+  ASSERT_TRUE(f.holder(unread).corrupt({f.stripe, unread}, 5).is_ok());
+  f.dfs.traffic().reset();
+  const std::size_t before = bytes_read_total(f.dfs);
+  const auto got = f.dfs.pread("/f", kPreadOffset, kPreadLen);
+  const std::size_t read = bytes_read_total(f.dfs) - before;
+  ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+  EXPECT_TRUE(std::equal(got->begin(), got->end(),
+                         f.data.begin() + kPreadOffset));
+  EXPECT_EQ(read, f.helper_bytes());
+  EXPECT_DOUBLE_EQ(f.dfs.traffic().total_bytes(), 3.0 * kPreadBlockSize);
+}
+
+TEST(MiniDfs, DegradedReadAfterHelperRestartMatchesTheGatherPath) {
+  // A helper node that crashes and comes back empty, with no repair in
+  // between, is up but cannot serve: the helper fetch misses and the read
+  // answers exactly as planning over the whole stripe does -- the bytes
+  // when the code can still rebuild the block, the planner's error when
+  // it cannot. A pentagon stripe cannot rebuild a block after losing a
+  // third node; heptagon-local can.
+  for (const auto& [spec, readable] :
+       {std::pair{"pentagon", false}, std::pair{"heptagon-local", true}}) {
+    SCOPED_TRACE(spec);
+    DoubleFailure f(spec);
+    const ec::NodeIndex helper_node =
+        f.code->layout().node_of_slot(*plan_helper_slots(f.plan).begin());
+    const auto& group = f.dfs.catalog().stripe(f.stripe).group;
+    const cluster::NodeId node = group[static_cast<std::size_t>(helper_node)];
+    ASSERT_TRUE(f.dfs.fail_node(node).is_ok());
+    ASSERT_TRUE(f.dfs.restart_node(node).is_ok());
+    const auto expected =
+        f.code->plan_degraded_block(0, gather_failed(f.dfs, f.stripe));
+    const auto got = f.dfs.pread("/f", kPreadOffset, kPreadLen);
+    EXPECT_EQ(expected.is_ok(), readable);
+    ASSERT_EQ(got.is_ok(), expected.is_ok()) << got.status().to_string();
+    if (got.is_ok()) {
+      EXPECT_TRUE(std::equal(got->begin(), got->end(),
+                             f.data.begin() + kPreadOffset));
+    } else {
+      EXPECT_EQ(got.status().code(), expected.status().code());
+    }
+  }
 }
 
 // -------------------------------------------------------- node repair

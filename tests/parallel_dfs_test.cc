@@ -13,6 +13,8 @@
 // writer/reader crossfire against one DFS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <map>
 #include <thread>
 
@@ -52,6 +54,8 @@ struct RunResult {
   double traffic_total = 0;
   double traffic_cross_rack = 0;
   double traffic_client = 0;
+  /// Total, cross-rack and client bytes of the reads before a repair.
+  std::array<double, 3> read_traffic{};
   std::size_t healed = 0;
 };
 
@@ -85,6 +89,31 @@ RunResult run_repair_scenario(const std::string& spec, int failures,
   for (int i = 0; i < failures; ++i) {
     EXPECT_TRUE(dfs.fail_node(group[static_cast<std::size_t>(i)]).is_ok());
   }
+  // Degraded preads before the repair: all of /a, and a window of /b that
+  // straddles its first stripe boundary.
+  dfs.traffic().reset();
+  const auto whole = dfs.pread("/a", 0, bytes);
+  EXPECT_TRUE(whole.is_ok()) << spec << ": " << whole.status().to_string();
+  if (whole.is_ok()) {
+    EXPECT_EQ(*whole, random_buffer(bytes, 5)) << spec;
+  }
+  const std::size_t window_at =
+      code->data_blocks() * kBlockSize - kBlockSize / 2;
+  const std::size_t window_len = 2 * kBlockSize;
+  const auto window = dfs.pread("/b", window_at, window_len);
+  EXPECT_TRUE(window.is_ok()) << spec << ": " << window.status().to_string();
+  if (window.is_ok()) {
+    EXPECT_EQ(window->size(), window_len) << spec;
+    const Buffer b = random_buffer(bytes, 6);
+    EXPECT_TRUE(std::equal(window->begin(), window->end(),
+                           b.begin() + static_cast<std::ptrdiff_t>(window_at)))
+        << spec;
+  }
+  RunResult result;
+  result.read_traffic = {dfs.traffic().total_bytes(),
+                         dfs.traffic().cross_rack_bytes(),
+                         dfs.traffic().client_bytes()};
+
   dfs.traffic().reset();
   if (mode == RepairMode::kRepairAll) {
     const Status repaired = dfs.repair_all();
@@ -104,7 +133,6 @@ RunResult run_repair_scenario(const std::string& spec, int failures,
   }
   EXPECT_TRUE(dfs.scrub().is_ok()) << spec;
 
-  RunResult result;
   result.image = image_of(dfs);
   result.traffic_total = dfs.traffic().total_bytes();
   result.traffic_cross_rack = dfs.traffic().cross_rack_bytes();
@@ -134,8 +162,10 @@ TEST(ParallelRepairEquivalence, ByteIdenticalToSerialForEveryCode) {
         EXPECT_DOUBLE_EQ(serial.traffic_cross_rack,
                          other->traffic_cross_rack);
         EXPECT_DOUBLE_EQ(serial.traffic_client, other->traffic_client);
+        EXPECT_EQ(serial.read_traffic, other->read_traffic);
       }
       EXPECT_GT(parallel.traffic_total, 0.0);  // the repair actually ran
+      EXPECT_GT(parallel.read_traffic[2], 0.0);  // and so did the reads
     }
   }
 }
