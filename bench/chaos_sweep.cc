@@ -16,13 +16,12 @@
 // --failures-dir for artifact upload; chaos_replay reproduces any of them
 // from the seed alone.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_rack_layering. Runs on the inline pool: deterministic per seed.
+// Runs on the inline pool: deterministic per seed.
 //
-// Usage: chaos_sweep [--seeds=N] [--schemes=CSV] [--mixes=CSV]
-//                    [--horizon=SECONDS] [--check-every=N]
-//                    [--replay-check=N] [--layering-check=N]
-//                    [--failures-dir=PATH] [--json=PATH]
+// Usage: bench_chaos_sweep [--seeds=N] [--schemes=CSV] [--mixes=CSV]
+//                          [--horizon=SECONDS] [--check-every=N]
+//                          [--replay-check=N] [--layering-check=N]
+//                          [--failures-dir=PATH] [--json=PATH] [--help]
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -34,6 +33,7 @@
 #include "chaos/harness.h"
 #include "common/check.h"
 #include "ec/registry.h"
+#include "harness.h"
 
 namespace {
 
@@ -55,16 +55,6 @@ struct ComboStats {
   double traffic_total_bytes = 0;
   double traffic_cross_rack_bytes = 0;
 };
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
 
 /// Topology sized for the scheme: three racks, enough headroom that the
 /// cluster can keep placing stripes under a handful of failures.
@@ -96,37 +86,20 @@ int main(int argc, char** argv) {
   std::size_t layering_check = 1;  // seeds per scheme for layered twins
   std::string failures_dir;
   std::string json_path = "BENCH_chaos_sweep.json";
-
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--seeds=", 0) == 0) {
-        seeds = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--mixes=", 0) == 0) {
-        mix_names = split_csv(arg.substr(8));
-      } else if (arg.rfind("--horizon=", 0) == 0) {
-        horizon_s = std::stod(arg.substr(10));
-      } else if (arg.rfind("--check-every=", 0) == 0) {
-        check_every = std::stoull(arg.substr(14));
-      } else if (arg.rfind("--replay-check=", 0) == 0) {
-        replay_check = std::stoull(arg.substr(15));
-      } else if (arg.rfind("--layering-check=", 0) == 0) {
-        layering_check = std::stoull(arg.substr(17));
-      } else if (arg.rfind("--failures-dir=", 0) == 0) {
-        failures_dir = arg.substr(15);
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("seeds", seeds, "seeds per scheme x mix")
+      .add("schemes", schemes, "code specs")
+      .add("mixes", mix_names, "fault-mix presets")
+      .add("horizon", horizon_s, "simulated seconds per scenario")
+      .add("check-every", check_every, "events between invariant checks")
+      .add("replay-check", replay_check,
+           "seeds per combination re-run for replay determinism")
+      .add("layering-check", layering_check,
+           "seeds per scheme run as layered/unlayered twins")
+      .add("failures-dir", failures_dir,
+           "directory for failing-seed dumps (empty: none)")
+      .add("json", json_path, "output path");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
   if (seeds == 0 || schemes.empty() || mix_names.empty()) {
     std::fprintf(stderr, "--seeds, --schemes, --mixes must be non-empty\n");
     return 2;
@@ -263,45 +236,43 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"chaos_sweep\",\n"
-       << "  \"scenarios\": " << scenarios << ",\n"
-       << "  \"horizon_s\": " << horizon_s << ",\n"
-       << "  \"total_violations\": " << total_violations << ",\n"
-       << "  \"replay_deterministic\": " << (replay_ok ? "true" : "false")
-       << ",\n"
-       << "  \"layering_equivalent\": " << (layering_ok ? "true" : "false")
-       << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < combos.size(); ++i) {
-    const ComboStats& s = combos[i];
+  bench::JsonWriter json(json_path);
+  json.field("bench", "chaos_sweep")
+      .field("scenarios", scenarios)
+      .field("horizon_s", horizon_s)
+      .field("total_violations", total_violations)
+      .field("replay_deterministic", replay_ok)
+      .field("layering_equivalent", layering_ok);
+  json.array("results");
+  for (const ComboStats& s : combos) {
     const double rate =
         s.repair_attempts == 0
             ? 1.0
             : static_cast<double>(s.repair_successes) /
                   static_cast<double>(s.repair_attempts);
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"mix\": \"" << s.mix
-         << "\", \"seeds\": " << s.seeds << ", \"events\": " << s.events
-         << ", \"violations\": " << s.violations
-         << ", \"repair_attempts\": " << s.repair_attempts
-         << ", \"repair_success_rate\": " << rate
-         << ", \"reads\": " << s.reads
-         << ", \"read_errors\": " << s.read_errors
-         << ", \"writes\": " << s.writes
-         << ", \"write_errors\": " << s.write_errors
-         << ", \"degraded_reads\": " << s.degraded_read_us.count()
-         << ", \"degraded_read_mean_us\": "
-         << (s.degraded_read_us.count() > 0 ? s.degraded_read_us.mean() : 0)
-         << ", \"degraded_read_max_us\": "
-         << (s.degraded_read_us.count() > 0 ? s.degraded_read_us.max() : 0)
-         << ", \"traffic_total_bytes\": " << s.traffic_total_bytes
-         << ", \"traffic_cross_rack_bytes\": " << s.traffic_cross_rack_bytes
-         << "}" << (i + 1 == combos.size() ? "\n" : ",\n");
+    json.object()
+        .field("scheme", s.scheme)
+        .field("mix", s.mix)
+        .field("seeds", s.seeds)
+        .field("events", s.events)
+        .field("violations", s.violations)
+        .field("repair_attempts", s.repair_attempts)
+        .field("repair_success_rate", rate)
+        .field("reads", s.reads)
+        .field("read_errors", s.read_errors)
+        .field("writes", s.writes)
+        .field("write_errors", s.write_errors)
+        .field("degraded_reads", s.degraded_read_us.count())
+        .field("degraded_read_mean_us",
+               s.degraded_read_us.count() > 0 ? s.degraded_read_us.mean() : 0)
+        .field("degraded_read_max_us",
+               s.degraded_read_us.count() > 0 ? s.degraded_read_us.max() : 0)
+        .field("traffic_total_bytes", s.traffic_total_bytes)
+        .field("traffic_cross_rack_bytes", s.traffic_cross_rack_bytes)
+        .end();
   }
-  json << "  ]\n}\n";
+  json.end();
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s (%zu scenarios)\n", json_path.c_str(),
                scenarios);
 

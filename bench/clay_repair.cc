@@ -15,13 +15,12 @@
 //    ships exactly beta = 4 sub-chunks, for every failed node;
 //  * baselines pinned: rs-4-2 repairs at 4 blocks, rs-10-4 at 10.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_rack_layering; runs on the inline pool so every number is a
-// deterministic function of the seed.
+// Runs on the inline pool so every number is a deterministic function of
+// the seed.
 //
-// Usage: clay_repair [--block-size=BYTES] [--stripes=N] [--json=PATH]
+// Usage: bench_clay_repair [--block-size=BYTES] [--stripes=N] [--json=PATH]
+//                          [--help]
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "common/bytes.h"
 #include "common/check.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "hdfs/minidfs.h"
 
 namespace {
@@ -60,24 +60,11 @@ int main(int argc, char** argv) {
   std::size_t block_size = 4096;
   std::size_t stripes = 4;
   std::string json_path = "BENCH_clay_repair.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", block_size, "bytes per block")
+      .add("stripes", stripes, "stripes per file")
+      .add("json", json_path, "output path");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
   if (block_size == 0 || stripes == 0) {
     std::fprintf(stderr, "--block-size and --stripes must be nonzero\n");
     return 2;
@@ -182,32 +169,31 @@ int main(int argc, char** argv) {
     by_scheme[spec] = s;
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::JsonWriter json(json_path);
+  json.field("bench", "clay_repair")
+      .field("block_size", block_size)
+      .field("stripes", stripes);
+  json.array("results");
+  for (const auto& spec : specs) {
+    const Sample& s = by_scheme.at(spec);
+    json.object()
+        .field("scheme", s.scheme)
+        .field("alpha", s.alpha)
+        .field("storage_overhead", s.overhead)
+        .field("repair_units_min", s.repair_units_min)
+        .field("repair_units_max", s.repair_units_max)
+        .field("repair_bytes_min", s.repair_bytes_min)
+        .field("repair_bytes_max", s.repair_bytes_max)
+        .field("data_repair_units_max", s.data_repair_units_max)
+        .field("e2e_measured_bytes", s.e2e_measured_bytes)
+        .field("e2e_planned_bytes", s.e2e_planned_bytes)
+        .field("e2e_exact", s.e2e_exact)
+        .field("e2e_restored", s.e2e_restored)
+        .field("stored_overhead_exact", s.stored_overhead_exact)
+        .end();
   }
-  json << "{\n  \"bench\": \"clay_repair\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"stripes\": " << stripes << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const Sample& s = by_scheme.at(specs[i]);
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"alpha\": " << s.alpha
-         << ", \"storage_overhead\": " << s.overhead
-         << ", \"repair_units_min\": " << s.repair_units_min
-         << ", \"repair_units_max\": " << s.repair_units_max
-         << ", \"repair_bytes_min\": " << s.repair_bytes_min
-         << ", \"repair_bytes_max\": " << s.repair_bytes_max
-         << ", \"data_repair_units_max\": " << s.data_repair_units_max
-         << ", \"e2e_measured_bytes\": " << s.e2e_measured_bytes
-         << ", \"e2e_planned_bytes\": " << s.e2e_planned_bytes
-         << ", \"e2e_exact\": " << (s.e2e_exact ? "true" : "false")
-         << ", \"e2e_restored\": " << (s.e2e_restored ? "true" : "false")
-         << ", \"stored_overhead_exact\": "
-         << (s.stored_overhead_exact ? "true" : "false") << "}"
-         << (i + 1 == specs.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
+  json.end();
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
 
   // ---- acceptance gates --------------------------------------------------

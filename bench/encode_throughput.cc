@@ -2,11 +2,10 @@
 // GF kernel backends -- the "encoding duration" metric the paper lists as
 // future work (Section 5).
 //
-// Self-contained harness (no google-benchmark) so it can force each kernel
-// in turn via gf::set_active_kernel and emit machine-readable JSON
-// (BENCH_encode_throughput.json) with MB/s per scheme per kernel, plus the
-// per-scheme speedup of each SIMD kernel over scalar. Future PRs track the
-// perf trajectory from that file.
+// Forces each kernel in turn via gf::set_active_kernel and emits
+// BENCH_encode_throughput.json with MB/s per scheme per kernel, plus the
+// per-scheme speedup of each SIMD kernel over scalar, so the perf
+// trajectory can be tracked from that file.
 //
 // Reported as bytes/second of *data* processed (not stored bytes), so the
 // schemes are directly comparable at equal logical input.
@@ -29,12 +28,11 @@
 //
 // Usage: bench_encode_throughput [--block-size=BYTES] [--min-time=SECONDS]
 //                                [--json=PATH] [--roof-gate=FRACTION]
+//                                [--help]
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
 #include <set>
 #include <string>
@@ -47,15 +45,12 @@
 #include "ec/stripe_codec.h"
 #include "gf/gf256.h"
 #include "gf/kernel.h"
+#include "harness.h"
 
 namespace {
 
 using namespace dblrep;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using bench::measure_mb_s;
 
 struct Sample {
   std::string scheme;
@@ -84,23 +79,6 @@ struct Roofline {
   double memcpy_mb_s = 0;  // std::memcpy, LLC-busting buffer
   double stream_mb_s = 0;  // single-source xor fold, NT stores (best kernel)
 };
-
-/// Runs `fn` repeatedly for at least `min_time` seconds (after one warmup
-/// call) and returns MB/s given `bytes` of data processed per call.
-template <typename Fn>
-double measure_mb_s(double min_time, std::size_t bytes, Fn&& fn) {
-  fn();  // warmup: tables, arena growth, page faults
-  std::size_t iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0;
-  do {
-    fn();
-    ++iters;
-    elapsed = seconds_since(start);
-  } while (elapsed < min_time);
-  return static_cast<double>(bytes) * static_cast<double>(iters) /
-         (elapsed * 1e6);
-}
 
 /// Measures the host's copy bandwidth on a buffer large enough to defeat
 /// the LLC, so the encode fractions below are against a memory roof, not a
@@ -139,26 +117,13 @@ int main(int argc, char** argv) {
   double min_time = 0.2;
   double roof_gate = -1;  // <0: resolved from the supported kernel set
   std::string json_path = "BENCH_encode_throughput.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--min-time=", 0) == 0) {
-        min_time = std::stod(arg.substr(11));
-      } else if (arg.rfind("--roof-gate=", 0) == 0) {
-        roof_gate = std::stod(arg.substr(12));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", block_size, "bytes per block")
+      .add("min-time", min_time, "seconds per measurement")
+      .add("roof-gate", roof_gate,
+           "min encode fraction of memcpy (<0: 0.02 with SIMD, else 0.002)")
+      .add("json", json_path, "output path");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
   if (block_size == 0) {
     std::fprintf(stderr, "--block-size must be positive\n");
     return 2;
@@ -349,39 +314,39 @@ int main(int argc, char** argv) {
                  "modeled bytes with streaming stores enabled\n");
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
-  }
-  json << "{\n  \"bench\": \"encode_throughput\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"min_time_s\": " << min_time << ",\n"
-       << "  \"roofline\": {\"memcpy_mb_per_s\": " << roof.memcpy_mb_s
-       << ", \"stream_copy_mb_per_s\": " << roof.stream_mb_s
-       << ", \"encode_gate_fraction\": " << roof_gate
-       << ", \"gate_ok\": " << (roof_gate_ok ? "true" : "false") << "},\n"
-       << "  \"nt_bytes_moved_gate\": {\"applicable\": "
-       << (nt_gate_applicable ? "true" : "false")
-       << ", \"gate_ok\": "
-       << (!nt_gate_applicable || nt_gate_ok ? "true" : "false") << "},\n"
-       << "  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"kernel\": \""
-         << s.kernel << "\", \"encode_mb_per_s\": " << s.encode_mb_s
-         << ", \"decode_mb_per_s\": " << s.decode_mb_s
-         << ", \"degraded_read_mb_per_s\": " << s.degraded_read_mb_s
-         << ", \"speedup_vs_scalar\": " << s.speedup_vs_scalar
-         << ", \"roof_fraction\": " << s.roof_fraction
-         << ", \"xor_only\": " << (s.xor_only ? "true" : "false");
+  bench::JsonWriter json(json_path);
+  json.field("bench", "encode_throughput")
+      .field("block_size", block_size)
+      .field("min_time_s", min_time);
+  json.object("roofline")
+      .field("memcpy_mb_per_s", roof.memcpy_mb_s)
+      .field("stream_copy_mb_per_s", roof.stream_mb_s)
+      .field("encode_gate_fraction", roof_gate)
+      .field("gate_ok", roof_gate_ok)
+      .end();
+  json.object("nt_bytes_moved_gate")
+      .field("applicable", nt_gate_applicable)
+      .field("gate_ok", !nt_gate_applicable || nt_gate_ok)
+      .end();
+  json.array("results");
+  for (const auto& s : samples) {
+    json.object()
+        .field("scheme", s.scheme)
+        .field("kernel", s.kernel)
+        .field("encode_mb_per_s", s.encode_mb_s)
+        .field("decode_mb_per_s", s.decode_mb_s)
+        .field("degraded_read_mb_per_s", s.degraded_read_mb_s)
+        .field("speedup_vs_scalar", s.speedup_vs_scalar)
+        .field("roof_fraction", s.roof_fraction)
+        .field("xor_only", s.xor_only);
     if (s.bytes_moved_regular > 0) {
-      json << ", \"bytes_moved_regular\": " << s.bytes_moved_regular
-           << ", \"bytes_moved_nt\": " << s.bytes_moved_nt;
+      json.field("bytes_moved_regular", s.bytes_moved_regular)
+          .field("bytes_moved_nt", s.bytes_moved_nt);
     }
-    json << "}" << (i + 1 == samples.size() ? "\n" : ",\n");
+    json.end();
   }
-  json << "  ]\n}\n";
+  json.end();
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
 
   if (!roof_gate_ok || (nt_gate_applicable && !nt_gate_ok)) return 1;

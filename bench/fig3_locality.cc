@@ -4,38 +4,24 @@
 // node -- plus the fourth panel comparing the modified peeling algorithm
 // against DS and MM at mu = 4.
 //
-// Usage: fig3_locality [--csv] [--trials N]
+// Usage: bench_fig3_locality [--csv] [--trials=N] [--help]
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/table.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "sched/locality_sim.h"
 
-namespace {
-
-using namespace dblrep;
-
-int parse_trials(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") return std::stoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bool csv = has_flag(argc, argv, "--csv");
-  const int trials = parse_trials(argc, argv, 40);
+  using namespace dblrep;
+  bool csv = false;
+  std::size_t trials = 40;
+  bench::Flags flags;
+  flags.add("csv", csv, "print CSV instead of aligned tables")
+      .add("trials", trials, "random placements averaged per point");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   const std::vector<std::string> codes = {"2-rep", "pentagon", "heptagon"};
   const std::vector<double> loads = {0.25, 0.50, 0.75, 1.00};
@@ -48,7 +34,7 @@ int main(int argc, char** argv) {
     sched::LocalitySweepConfig config;
     config.slots_per_node = mu;
     config.loads = loads;
-    config.trials = trials;
+    config.trials = static_cast<int>(trials);
 
     TextTable table({"Load (%)", "2-rep DS", "2-rep MM", "pent DS", "pent MM",
                      "hept DS", "hept MM"});
@@ -81,7 +67,7 @@ int main(int argc, char** argv) {
     sched::LocalitySweepConfig config;
     config.slots_per_node = 4;
     config.loads = loads;
-    config.trials = trials;
+    config.trials = static_cast<int>(trials);
     TextTable table({"Load (%)", "pent DS", "pent peel", "pent MM", "hept DS",
                      "hept peel", "hept MM"});
     std::vector<std::vector<std::string>> columns;

@@ -3,7 +3,7 @@
 // vs load for 3-rep / 2-rep / pentagon / heptagon, with Hadoop's delay
 // scheduler for map-task assignment.
 //
-// Usage: fig4_setup1 [--csv] [--trials N] [--degraded]
+// Usage: bench_fig4_setup1 [--csv] [--trials=N] [--degraded] [--help]
 //   --degraded additionally runs the paper's future-work scenario (two
 //   failed nodes; on-the-fly repairs with partial parities).
 #include <iostream>
@@ -12,25 +12,12 @@
 
 #include "common/table.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "mapred/terasort_sim.h"
 
 namespace {
 
 using namespace dblrep;
-
-int parse_trials(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") return std::stoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
 
 void run_panel(const std::vector<std::string>& codes,
                const std::vector<double>& loads, mapred::JobConfig config,
@@ -77,22 +64,29 @@ void run_panel(const std::vector<std::string>& codes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = has_flag(argc, argv, "--csv");
-  const int trials = parse_trials(argc, argv, 10);
+  bool csv = false;
+  std::size_t trials = 10;
+  bool degraded = false;
+  bench::Flags flags;
+  flags.add("csv", csv, "print CSV instead of aligned tables")
+      .add("trials", trials, "simulated jobs averaged per point")
+      .add("degraded", degraded,
+           "also run with nodes 3 and 7 down (on-the-fly repairs)");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   const std::vector<std::string> codes = {"3-rep", "2-rep", "pentagon",
                                           "heptagon"};
   const std::vector<double> loads = {0.50, 0.75, 1.00};
 
   mapred::JobConfig config = mapred::setup1_config();
-  config.trials = trials;
+  config.trials = static_cast<int>(trials);
 
   std::cout << "Fig. 4: Terasort on set-up 1 (25 nodes, 2 map slots, 128 MB "
                "blocks), delay scheduling, "
             << trials << " trials per point\n";
   run_panel(codes, loads, config, csv);
 
-  if (has_flag(argc, argv, "--degraded")) {
+  if (degraded) {
     std::cout << "\n== Degraded mode (nodes 3 and 7 down; Section 5 "
                  "future-work scenario) ==\n";
     config.down_nodes = {3, 7};

@@ -2,44 +2,30 @@
 // slots, 512 MB blocks): network traffic and data locality vs load for
 // 3-rep / 2-rep / pentagon.
 //
-// Usage: fig5_setup2 [--csv] [--trials N]
+// Usage: bench_fig5_setup2 [--csv] [--trials=N] [--help]
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/table.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "mapred/terasort_sim.h"
 
-namespace {
-
-using namespace dblrep;
-
-int parse_trials(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") return std::stoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
-bool has_flag(int argc, char** argv, const std::string& flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (argv[i] == flag) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  const bool csv = has_flag(argc, argv, "--csv");
-  const int trials = parse_trials(argc, argv, 10);
+  using namespace dblrep;
+  bool csv = false;
+  std::size_t trials = 10;
+  bench::Flags flags;
+  flags.add("csv", csv, "print CSV instead of aligned tables")
+      .add("trials", trials, "simulated jobs averaged per point");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   const std::vector<std::string> codes = {"3-rep", "2-rep", "pentagon"};
   const std::vector<double> loads = {0.25, 0.50, 0.75, 1.00};
 
   mapred::JobConfig config = mapred::setup2_config();
-  config.trials = trials;
+  config.trials = static_cast<int>(trials);
 
   TextTable traffic_table({"Load (%)", "3-rep", "2-rep", "pentagon"});
   TextTable locality_table({"Load (%)", "3-rep", "2-rep", "pentagon"});

@@ -2,8 +2,7 @@
 // backend (scalar/ssse3/avx2/avx512/gfni) x every hot operation x a
 // cache-tiered set of slice lengths, emitted as BENCH_gf_ops.json.
 //
-// Self-contained harness (no google-benchmark) for the same reason as
-// bench_encode_throughput: it must force each kernel in turn through
+// Like bench_encode_throughput it forces each kernel in turn through
 // gf::set_active_kernel, and CI parses the JSON artifact. The ops are the
 // primitives every encoder/repair path decomposes into:
 //
@@ -25,10 +24,9 @@
 // runner instead of silently falling back.
 //
 // Usage: bench_gf_ops [--min-time=SECONDS] [--json=PATH] [--list-kernels]
-#include <chrono>
+//                     [--help]
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -36,30 +34,11 @@
 #include "common/check.h"
 #include "gf/gf256.h"
 #include "gf/kernel.h"
+#include "harness.h"
 
 namespace {
 
 using namespace dblrep;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-template <typename Fn>
-double measure_mb_s(double min_time, std::size_t bytes, Fn&& fn) {
-  fn();  // warmup: tables, page faults
-  std::size_t iters = 0;
-  const auto start = Clock::now();
-  double elapsed = 0;
-  do {
-    fn();
-    ++iters;
-    elapsed = seconds_since(start);
-  } while (elapsed < min_time);
-  return static_cast<double>(bytes) * static_cast<double>(iters) /
-         (elapsed * 1e6);
-}
 
 struct Sample {
   std::string kernel;
@@ -73,26 +52,18 @@ struct Sample {
 int main(int argc, char** argv) {
   double min_time = 0.05;
   std::string json_path = "BENCH_gf_ops.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--min-time=", 0) == 0) {
-        min_time = std::stod(arg.substr(11));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else if (arg == "--list-kernels") {
-        for (const gf::GfKernel* kernel : gf::supported_kernels()) {
-          std::printf("%s\n", kernel->name);
-        }
-        return 0;
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
+  bool list_kernels = false;
+  bench::Flags flags;
+  flags.add("min-time", min_time, "seconds per measurement")
+      .add("json", json_path, "output path")
+      .add("list-kernels", list_kernels,
+           "print the supported kernel names, one per line, and exit");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
+  if (list_kernels) {
+    for (const gf::GfKernel* kernel : gf::supported_kernels()) {
+      std::printf("%s\n", kernel->name);
     }
+    return 0;
   }
 
   // L1-resident, L2-resident, and memory-bound slices. The last tier is
@@ -119,7 +90,7 @@ int main(int argc, char** argv) {
         sample.kernel = kernel->name;
         sample.op = op;
         sample.length = length;
-        sample.mb_s = measure_mb_s(min_time, bytes, fn);
+        sample.mb_s = bench::measure_mb_s(min_time, bytes, fn);
         std::fprintf(stderr, "  %-10s %8zu B %10.1f MB/s\n", op, length,
                      sample.mb_s);
         samples.push_back(std::move(sample));
@@ -191,20 +162,19 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::JsonWriter json(json_path);
+  json.field("bench", "gf_ops").field("min_time_s", min_time);
+  json.array("results");
+  for (const auto& s : samples) {
+    json.object()
+        .field("kernel", s.kernel)
+        .field("op", s.op)
+        .field("length", s.length)
+        .field("mb_per_s", s.mb_s)
+        .end();
   }
-  json << "{\n  \"bench\": \"gf_ops\",\n"
-       << "  \"min_time_s\": " << min_time << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"kernel\": \"" << s.kernel << "\", \"op\": \"" << s.op
-         << "\", \"length\": " << s.length << ", \"mb_per_s\": " << s.mb_s
-         << "}" << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
+  json.end();
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
   return 0;
 }

@@ -12,42 +12,36 @@
 // scenario -- the scaling numbers are only meaningful if the parallel
 // path is exact.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_encode_throughput.
-//
 // Usage: bench_parallel_scaling [--block-size=BYTES] [--stripes=N]
 //                               [--min-time=SECONDS] [--workers=CSV]
 //                               [--schemes=CSV] [--json=PATH]
-//                               [--latency-json=PATH]
+//                               [--latency-json=PATH] [--help]
 //
 // --latency-json additionally exports every mixed run's full
 // WorkloadReport (per-op count/mean/p50/p99/p999 plus raw histogram
 // buckets) for offline latency-distribution analysis.
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "chaos/invariants.h"
 #include "cluster/topology.h"
 #include "common/bytes.h"
 #include "common/check.h"
 #include "ec/registry.h"
 #include "exec/thread_pool.h"
+#include "harness.h"
 #include "hdfs/minidfs.h"
 #include "hdfs/workload_driver.h"
 
 namespace {
 
 using namespace dblrep;
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
+using bench::Clock;
+using bench::seconds_since;
 
 struct Sample {
   std::string scheme;
@@ -66,40 +60,12 @@ struct Sample {
   std::size_t mixed_errors = 0;
 };
 
-/// FNV-1a over every stored block of every node (address + bytes), plus
-/// the traffic totals: one number that pins down the post-repair state.
-std::uint64_t cluster_fingerprint(hdfs::MiniDfs& dfs,
-                                  std::size_t num_nodes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ULL;
-    }
-  };
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    auto& dn = dfs.datanode(static_cast<cluster::NodeId>(n));
-    for (const auto& address : dn.stored_addresses()) {
-      mix(address.stripe);
-      mix(address.slot);
-      const auto bytes = dn.get(address);
-      if (!bytes.is_ok()) continue;
-      for (std::uint8_t b : *bytes) h = (h ^ b) * 1099511628211ULL;
-    }
-  }
-  mix(static_cast<std::uint64_t>(dfs.traffic().total_bytes()));
-  mix(static_cast<std::uint64_t>(dfs.traffic().cross_rack_bytes()));
-  return h;
-}
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
+/// One mixed run's full WorkloadReport, for --latency-json.
+struct LatencyEntry {
+  std::string scheme;
+  std::size_t workers = 0;
+  std::string report_json;
+};
 
 }  // namespace
 
@@ -111,35 +77,16 @@ int main(int argc, char** argv) {
   std::vector<std::string> schemes = {"rs-10-4", "pentagon", "heptagon-local"};
   std::string json_path = "BENCH_parallel_scaling.json";
   std::string latency_json_path;  // empty: no per-run histogram export
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--min-time=", 0) == 0) {
-        min_time = std::stod(arg.substr(11));
-      } else if (arg.rfind("--workers=", 0) == 0) {
-        worker_counts.clear();
-        for (const auto& w : split_csv(arg.substr(10))) {
-          worker_counts.push_back(std::stoull(w));
-        }
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else if (arg.rfind("--latency-json=", 0) == 0) {
-        latency_json_path = arg.substr(15);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", block_size, "bytes per block")
+      .add("stripes", stripes, "stripes per file")
+      .add("min-time", min_time, "seconds per encode / repair measurement")
+      .add("workers", worker_counts, "pool worker counts (0 = serial)")
+      .add("schemes", schemes, "code specs")
+      .add("json", json_path, "output path")
+      .add("latency-json", latency_json_path,
+           "also export every mixed run's WorkloadReport here");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
   if (block_size == 0 || stripes == 0 || worker_counts.empty()) {
     std::fprintf(stderr, "--block-size, --stripes, --workers must be set\n");
     return 2;
@@ -149,7 +96,7 @@ int main(int argc, char** argv) {
   topology.num_nodes = 25;
 
   std::vector<Sample> samples;
-  std::vector<std::string> latency_entries;
+  std::vector<LatencyEntry> latency_entries;
   std::map<std::string, double> serial_encode, serial_repair;
   std::map<std::string, std::uint64_t> serial_fingerprint;
 
@@ -217,7 +164,7 @@ int main(int argc, char** argv) {
         DBLREP_CHECK(dfs.fail_node(group[0]).is_ok());
         DBLREP_CHECK(dfs.fail_node(group[1]).is_ok());
         DBLREP_CHECK(dfs.repair_all().is_ok());
-        const std::uint64_t fp = cluster_fingerprint(dfs, topology.num_nodes);
+        const std::uint64_t fp = chaos::cluster_fingerprint(dfs);
         if (const auto it = serial_fingerprint.find(spec);
             it == serial_fingerprint.end()) {
           serial_fingerprint[spec] = fp;
@@ -251,10 +198,7 @@ int main(int argc, char** argv) {
         sample.mixed_repair_s = report->repair_s;
         sample.mixed_errors = report->total_errors();
         if (!latency_json_path.empty()) {
-          std::ostringstream entry;
-          entry << "    {\"scheme\": \"" << spec << "\", \"workers\": "
-                << workers << ", \"report\":\n" << report->to_json() << "}";
-          latency_entries.push_back(entry.str());
+          latency_entries.push_back({spec, workers, report->to_json()});
         }
       }
 
@@ -283,49 +227,46 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::JsonWriter json(json_path);
+  json.field("bench", "parallel_scaling")
+      .field("block_size", block_size)
+      .field("stripes", stripes)
+      .field("min_time_s", min_time)
+      .field("host_hardware_threads", std::thread::hardware_concurrency());
+  json.array("results");
+  for (const auto& s : samples) {
+    json.object()
+        .field("scheme", s.scheme)
+        .field("workers", s.workers)
+        .field("encode_mb_per_s", s.encode_mb_s)
+        .field("repair_mb_per_s", s.repair_mb_s)
+        .field("encode_speedup_vs_serial", s.encode_speedup)
+        .field("repair_speedup_vs_serial", s.repair_speedup)
+        .field("bytes_identical_to_serial", s.bytes_identical)
+        .field("mixed_read_p50_us", s.mixed_read_p50_us)
+        .field("mixed_read_p99_us", s.mixed_read_p99_us)
+        .field("mixed_read_p999_us", s.mixed_read_p999_us)
+        .field("mixed_ops_per_s", s.mixed_ops_per_s)
+        .field("mixed_repair_s", s.mixed_repair_s)
+        .field("mixed_errors", s.mixed_errors)
+        .end();
   }
-  json << "{\n  \"bench\": \"parallel_scaling\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"stripes\": " << stripes << ",\n"
-       << "  \"min_time_s\": " << min_time << ",\n"
-       << "  \"host_hardware_threads\": "
-       << std::thread::hardware_concurrency() << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"workers\": "
-         << s.workers << ", \"encode_mb_per_s\": " << s.encode_mb_s
-         << ", \"repair_mb_per_s\": " << s.repair_mb_s
-         << ", \"encode_speedup_vs_serial\": " << s.encode_speedup
-         << ", \"repair_speedup_vs_serial\": " << s.repair_speedup
-         << ", \"bytes_identical_to_serial\": "
-         << (s.bytes_identical ? "true" : "false")
-         << ", \"mixed_read_p50_us\": " << s.mixed_read_p50_us
-         << ", \"mixed_read_p99_us\": " << s.mixed_read_p99_us
-         << ", \"mixed_read_p999_us\": " << s.mixed_read_p999_us
-         << ", \"mixed_ops_per_s\": " << s.mixed_ops_per_s
-         << ", \"mixed_repair_s\": " << s.mixed_repair_s
-         << ", \"mixed_errors\": " << s.mixed_errors << "}"
-         << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
+  json.end();
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
 
   if (!latency_json_path.empty()) {
-    std::ofstream lj(latency_json_path);
-    if (!lj) {
-      std::fprintf(stderr, "cannot write %s\n", latency_json_path.c_str());
-      return 1;
+    bench::JsonWriter lj(latency_json_path);
+    lj.field("bench", "parallel_scaling_latency").array("reports");
+    for (const auto& entry : latency_entries) {
+      lj.object()
+          .field("scheme", entry.scheme)
+          .field("workers", entry.workers)
+          .raw("report", entry.report_json)
+          .end();
     }
-    lj << "{\n  \"bench\": \"parallel_scaling_latency\",\n  \"reports\": [\n";
-    for (std::size_t i = 0; i < latency_entries.size(); ++i) {
-      lj << latency_entries[i]
-         << (i + 1 == latency_entries.size() ? "\n" : ",\n");
-    }
-    lj << "  ]\n}\n";
+    lj.end();
+    if (!lj.finish()) return 1;
     std::fprintf(stderr, "wrote %s\n", latency_json_path.c_str());
   }
 

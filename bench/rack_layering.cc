@@ -9,24 +9,25 @@
 // layered and unlayered repairs of the same configuration leave every
 // datanode byte-identical and move the same total number of bytes.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_parallel_scaling. Runs on the inline (serial) pool so every number
-// is a deterministic function of the seed.
+// Runs on the inline (serial) pool so the node-repair numbers are a
+// deterministic function of the seed. The mixed runs' client threads
+// interleave freely, so their byte counts vary from run to run.
 //
-// Usage: rack_layering [--block-size=BYTES] [--stripes=N] [--racks=CSV]
-//                      [--schemes=CSV] [--json=PATH] [--skip-mixed]
+// Usage: bench_rack_layering [--block-size=BYTES] [--stripes=N] [--racks=CSV]
+//                            [--schemes=CSV] [--json=PATH] [--skip-mixed]
+//                            [--help]
 #include <cstdio>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "chaos/invariants.h"
 #include "cluster/placement.h"
 #include "cluster/topology.h"
 #include "common/bytes.h"
 #include "common/check.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "hdfs/minidfs.h"
 #include "hdfs/workload_driver.h"
 
@@ -51,39 +52,6 @@ struct Sample {
   std::size_t mixed_errors = 0;
 };
 
-/// FNV-1a over every stored block (address + bytes) of every node.
-/// Deliberately excludes traffic totals: layering changes *where* bytes
-/// flow, never what ends up stored.
-std::uint64_t stored_fingerprint(hdfs::MiniDfs& dfs, std::size_t num_nodes) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix = [&h](std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h = (h ^ ((v >> (8 * i)) & 0xff)) * 1099511628211ULL;
-    }
-  };
-  for (std::size_t n = 0; n < num_nodes; ++n) {
-    auto& dn = dfs.datanode(static_cast<cluster::NodeId>(n));
-    for (const auto& address : dn.stored_addresses()) {
-      mix(address.stripe);
-      mix(address.slot);
-      const auto bytes = dn.get(address);
-      if (!bytes.is_ok()) continue;
-      for (std::uint8_t b : *bytes) h = (h ^ b) * 1099511628211ULL;
-    }
-  }
-  return h;
-}
-
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -93,33 +61,14 @@ int main(int argc, char** argv) {
   std::vector<std::string> schemes = {"heptagon-local", "rs-10-4", "pentagon"};
   std::string json_path = "BENCH_rack_layering.json";
   bool skip_mixed = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--racks=", 0) == 0) {
-        rack_counts.clear();
-        for (const auto& r : split_csv(arg.substr(8))) {
-          rack_counts.push_back(std::stoull(r));
-        }
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else if (arg == "--skip-mixed") {
-        skip_mixed = true;
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", block_size, "bytes per block")
+      .add("stripes", stripes, "stripes per file")
+      .add("racks", rack_counts, "rack counts to sweep")
+      .add("schemes", schemes, "code specs")
+      .add("json", json_path, "output path")
+      .add("skip-mixed", skip_mixed, "skip the workload-under-repair runs");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
   if (block_size == 0 || stripes == 0 || rack_counts.empty()) {
     std::fprintf(stderr, "--block-size, --stripes, --racks must be set\n");
     return 2;
@@ -171,9 +120,11 @@ int main(int argc, char** argv) {
             sample.repair_intra_rack_bytes = dfs.traffic().intra_rack_bytes();
 
             // Layered and unlayered twins must repair to identical bytes.
+            // Stored bytes only: layering changes *where* bytes flow, never
+            // what ends up stored.
             const std::string twin_key =
                 spec + "|" + sample.policy + "|" + std::to_string(racks);
-            const std::uint64_t fp = stored_fingerprint(dfs, kNumNodes);
+            const std::uint64_t fp = chaos::storage_fingerprint(dfs);
             if (!layered) {
               unlayered_fingerprint[twin_key] = fp;
             } else {
@@ -221,32 +172,30 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::JsonWriter json(json_path);
+  json.field("bench", "rack_layering")
+      .field("block_size", block_size)
+      .field("stripes", stripes)
+      .field("num_nodes", kNumNodes);
+  json.array("results");
+  for (const auto& s : samples) {
+    json.object()
+        .field("scheme", s.scheme)
+        .field("policy", s.policy)
+        .field("racks", s.racks)
+        .field("layered", s.layered)
+        .field("repair_total_bytes", s.repair_total_bytes)
+        .field("repair_cross_rack_bytes", s.repair_cross_rack_bytes)
+        .field("repair_intra_rack_bytes", s.repair_intra_rack_bytes)
+        .field("repair_bytes_identical_to_unlayered", s.repair_bytes_identical)
+        .field("mixed_total_bytes", s.mixed_total_bytes)
+        .field("mixed_cross_rack_bytes", s.mixed_cross_rack_bytes)
+        .field("mixed_client_bytes", s.mixed_client_bytes)
+        .field("mixed_errors", s.mixed_errors)
+        .end();
   }
-  json << "{\n  \"bench\": \"rack_layering\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"stripes\": " << stripes << ",\n"
-       << "  \"num_nodes\": " << kNumNodes << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"policy\": \""
-         << s.policy << "\", \"racks\": " << s.racks
-         << ", \"layered\": " << (s.layered ? "true" : "false")
-         << ", \"repair_total_bytes\": " << s.repair_total_bytes
-         << ", \"repair_cross_rack_bytes\": " << s.repair_cross_rack_bytes
-         << ", \"repair_intra_rack_bytes\": " << s.repair_intra_rack_bytes
-         << ", \"repair_bytes_identical_to_unlayered\": "
-         << (s.repair_bytes_identical ? "true" : "false")
-         << ", \"mixed_total_bytes\": " << s.mixed_total_bytes
-         << ", \"mixed_cross_rack_bytes\": " << s.mixed_cross_rack_bytes
-         << ", \"mixed_client_bytes\": " << s.mixed_client_bytes
-         << ", \"mixed_errors\": " << s.mixed_errors << "}"
-         << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
+  json.end();
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
 
   // ---- acceptance gates --------------------------------------------------

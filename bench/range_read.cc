@@ -14,17 +14,13 @@
 // partition of [0, length) is byte-identical to read_file; and a
 // one-block pread moves strictly fewer client bytes than read_file.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_rack_layering. Runs on the inline (serial) pool so every number is
-// a deterministic function of the seed.
+// Runs on the inline (serial) pool so every byte count is a deterministic
+// function of the seed.
 //
-// Usage: range_read [--block-size=BYTES] [--stripes=N] [--schemes=CSV]
-//                   [--failures=CSV] [--reps=N] [--json=PATH]
-#include <chrono>
+// Usage: bench_range_read [--block-size=BYTES] [--stripes=N] [--schemes=CSV]
+//                         [--failures=CSV] [--reps=N] [--json=PATH] [--help]
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -32,13 +28,13 @@
 #include "common/bytes.h"
 #include "common/check.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "hdfs/client.h"
 #include "hdfs/minidfs.h"
 
 namespace {
 
 using namespace dblrep;
-using Clock = std::chrono::steady_clock;
 
 struct Sample {
   std::string scheme;
@@ -53,16 +49,6 @@ struct Sample {
   bool partition_identical = true;
 };
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -72,39 +58,15 @@ int main(int argc, char** argv) {
   std::vector<std::string> schemes = ec::paper_code_specs();
   std::vector<std::size_t> failure_counts = {0, 1, 2, 3};
   std::string json_path = "BENCH_range_read.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg == "--help" || arg == "-h") {
-        std::printf(
-            "Usage: %s [--block-size=BYTES] [--stripes=N] [--schemes=CSV]\n"
-            "          [--failures=CSV] [--reps=N] [--json=PATH]\n",
-            argv[0]);
-        return 0;
-      } else if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--reps=", 0) == 0) {
-        reps = std::stoull(arg.substr(7));
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--failures=", 0) == 0) {
-        failure_counts.clear();
-        for (const auto& f : split_csv(arg.substr(11))) {
-          failure_counts.push_back(std::stoull(f));
-        }
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", block_size, "bytes per block")
+      .add("stripes", stripes, "full stripes per file (plus a ragged tail)")
+      .add("schemes", schemes, "code specs")
+      .add("failures", failure_counts,
+           "failed stripe-group nodes per state (above tolerance: skipped)")
+      .add("reps", reps, "preads per range size")
+      .add("json", json_path, "output path");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
   if (block_size == 0 || stripes == 0 || reps == 0) {
     std::fprintf(stderr, "--block-size, --stripes, --reps must be > 0\n");
     return 2;
@@ -173,7 +135,7 @@ int main(int argc, char** argv) {
       for (const auto& [label, range_bytes] : ranges) {
         const double client0 = dfs.traffic().client_bytes();
         const double total0 = dfs.traffic().total_bytes();
-        const auto start = Clock::now();
+        const auto start = bench::Clock::now();
         for (std::size_t r = 0; r < reps; ++r) {
           // Block-aligned sliding offsets keep every rep inside the file.
           const std::size_t offset =
@@ -184,9 +146,7 @@ int main(int argc, char** argv) {
           DBLREP_CHECK_MSG(got.is_ok(), spec << " " << label << ": "
                                              << got.status().to_string());
         }
-        const double us = std::chrono::duration<double, std::micro>(
-                              Clock::now() - start)
-                              .count();
+        const double us = bench::seconds_since(start) * 1e6;
 
         Sample sample;
         sample.scheme = spec;
@@ -223,29 +183,27 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::JsonWriter json(json_path);
+  json.field("bench", "range_read")
+      .field("block_size", block_size)
+      .field("stripes", stripes)
+      .field("reps", reps);
+  json.array("results");
+  for (const auto& s : samples) {
+    json.object()
+        .field("scheme", s.scheme)
+        .field("failures", s.failures)
+        .field("range", s.range_label)
+        .field("range_bytes", s.range_bytes)
+        .field("client_bytes_per_read", s.client_bytes_per_read)
+        .field("total_bytes_per_read", s.total_bytes_per_read)
+        .field("mean_us", s.mean_us)
+        .field("read_file_client_bytes", s.read_file_client_bytes)
+        .field("partition_identical_to_read_file", s.partition_identical)
+        .end();
   }
-  json << "{\n  \"bench\": \"range_read\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"stripes\": " << stripes << ",\n"
-       << "  \"reps\": " << reps << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme
-         << "\", \"failures\": " << s.failures << ", \"range\": \""
-         << s.range_label << "\", \"range_bytes\": " << s.range_bytes
-         << ", \"client_bytes_per_read\": " << s.client_bytes_per_read
-         << ", \"total_bytes_per_read\": " << s.total_bytes_per_read
-         << ", \"mean_us\": " << s.mean_us
-         << ", \"read_file_client_bytes\": " << s.read_file_client_bytes
-         << ", \"partition_identical_to_read_file\": "
-         << (s.partition_identical ? "true" : "false") << "}"
-         << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
+  json.end();
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
 
   // ---- acceptance gates --------------------------------------------------

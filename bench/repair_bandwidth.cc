@@ -7,13 +7,14 @@
 //  * the same numbers measured end-to-end on the mini-HDFS wire;
 //  * heptagon-local: local repair stays inside the rack.
 //
-// Usage: repair_bandwidth [--csv]
+// Usage: bench_repair_bandwidth [--csv] [--help]
 #include <iostream>
 #include <string>
 
 #include "common/table.h"
 #include "ec/local_polygon.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "hdfs/minidfs.h"
 
 namespace {
@@ -57,7 +58,10 @@ PlanNumbers plan_numbers(const ec::CodeScheme& code) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+  bool csv = false;
+  bench::Flags flags;
+  flags.add("csv", csv, "print CSV instead of aligned tables");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   TextTable table({"Code", "1-node repair", "2-node repair",
                    "degraded read (2 lost)", "paper says"});

@@ -20,18 +20,15 @@
 //   * network conservation (chaos::check_network_conservation, drained
 //     form) holds after every simulation run.
 //
-// Self-contained harness (no google-benchmark), same pattern as
-// bench_rack_layering: inline pool, fixed seeds, everything a
-// deterministic function of the flags. Emits BENCH_repair_qos.json.
+// Inline pool, fixed seeds: everything is a deterministic function of the
+// flags. Emits BENCH_repair_qos.json.
 //
-// Usage: repair_qos [--block-size=BYTES] [--files=N] [--stripes=N]
-//                   [--reads=N] [--window-ms=MS] [--schemes=CSV]
-//                   [--budget=X] [--json=PATH]
+// Usage: bench_repair_qos [--block-size=BYTES] [--files=N] [--stripes=N]
+//                         [--reads=N] [--window-ms=MS] [--schemes=CSV]
+//                         [--budget=X] [--json=PATH] [--help]
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -42,6 +39,7 @@
 #include "common/check.h"
 #include "common/rng.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "hdfs/minidfs.h"
 #include "net/model.h"
 #include "net/transfer.h"
@@ -162,25 +160,15 @@ SimOutcome simulate(const Capture& capture, const cluster::Topology& topology,
   return outcome;
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::stringstream ss(text);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (!item.empty()) out.push_back(item);
-  }
-  return out;
-}
-
-std::string outcome_json(const char* name, const SimOutcome& o) {
-  std::ostringstream out;
-  out << "\"" << name << "\": {\"p99_read_s\": " << o.p99_read_s
-      << ", \"max_read_s\": " << o.max_read_s
-      << ", \"storm_makespan_s\": " << o.storm_makespan_s
-      << ", \"repair_delivered_bytes\": " << o.repair_delivered_bytes
-      << ", \"conservation_ok\": " << (o.conservation_ok ? "true" : "false")
-      << "}";
-  return out.str();
+void write_outcome(bench::JsonWriter& json, const char* name,
+                   const SimOutcome& o) {
+  json.object(name)
+      .field("p99_read_s", o.p99_read_s)
+      .field("max_read_s", o.max_read_s)
+      .field("storm_makespan_s", o.storm_makespan_s)
+      .field("repair_delivered_bytes", o.repair_delivered_bytes)
+      .field("conservation_ok", o.conservation_ok)
+      .end();
 }
 
 }  // namespace
@@ -194,34 +182,16 @@ int main(int argc, char** argv) {
   std::vector<std::string> schemes = {"heptagon-local", "pentagon", "rs-10-4"};
   double budget = 3.0;
   std::string json_path = "BENCH_repair_qos.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    try {
-      if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoull(arg.substr(13));
-      } else if (arg.rfind("--files=", 0) == 0) {
-        files = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--stripes=", 0) == 0) {
-        stripes = std::stoull(arg.substr(10));
-      } else if (arg.rfind("--reads=", 0) == 0) {
-        reads = std::stoull(arg.substr(8));
-      } else if (arg.rfind("--window-ms=", 0) == 0) {
-        window_ms = std::stod(arg.substr(12));
-      } else if (arg.rfind("--schemes=", 0) == 0) {
-        schemes = split_csv(arg.substr(10));
-      } else if (arg.rfind("--budget=", 0) == 0) {
-        budget = std::stod(arg.substr(9));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = arg.substr(7);
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad numeric value in %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("block-size", block_size, "bytes per block")
+      .add("files", files, "preloaded files per scheme")
+      .add("stripes", stripes, "stripes per file")
+      .add("reads", reads, "captured client block reads")
+      .add("window-ms", window_ms, "window the reads are spread over")
+      .add("schemes", schemes, "code specs")
+      .add("budget", budget, "max p99 read degradation under throttling")
+      .add("json", json_path, "output path");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
   if (block_size == 0 || files == 0 || stripes == 0 || reads == 0 ||
       window_ms <= 0 || schemes.empty() || budget <= 1.0) {
     std::fprintf(stderr, "need positive sizes and --budget > 1\n");
@@ -335,34 +305,33 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::ofstream json(json_path);
-  if (!json) {
-    std::fprintf(stderr, "cannot write %s\n", json_path.c_str());
-    return 1;
+  bench::JsonWriter json(json_path);
+  json.field("bench", "repair_qos")
+      .field("block_size", block_size)
+      .field("files", files)
+      .field("stripes", stripes)
+      .field("reads", reads)
+      .field("window_ms", window_ms)
+      .field("budget", budget)
+      .field("num_nodes", kNumNodes)
+      .field("num_racks", kNumRacks)
+      .field("qos_cluster_rate", throttled_config.qos.cluster_rate);
+  json.array("results");
+  for (const auto& s : samples) {
+    json.object()
+        .field("scheme", s.scheme)
+        .field("layered", s.layered)
+        .field("repair_records", s.repair_records)
+        .field("repair_flows", s.repair_flows)
+        .field("storm_bytes", s.storm_bytes);
+    write_outcome(json, "baseline", s.baseline);
+    write_outcome(json, "unthrottled", s.unthrottled);
+    write_outcome(json, "throttled", s.throttled);
+    write_outcome(json, "adaptive", s.adaptive);
+    json.end();
   }
-  json << "{\n  \"bench\": \"repair_qos\",\n"
-       << "  \"block_size\": " << block_size << ",\n"
-       << "  \"files\": " << files << ",\n  \"stripes\": " << stripes
-       << ",\n  \"reads\": " << reads << ",\n  \"window_ms\": " << window_ms
-       << ",\n  \"budget\": " << budget
-       << ",\n  \"num_nodes\": " << kNumNodes
-       << ",\n  \"num_racks\": " << kNumRacks
-       << ",\n  \"qos_cluster_rate\": " << throttled_config.qos.cluster_rate
-       << ",\n  \"results\": [\n";
-  for (std::size_t i = 0; i < samples.size(); ++i) {
-    const auto& s = samples[i];
-    json << "    {\"scheme\": \"" << s.scheme << "\", \"layered\": "
-         << (s.layered ? "true" : "false")
-         << ", \"repair_records\": " << s.repair_records
-         << ", \"repair_flows\": " << s.repair_flows
-         << ", \"storm_bytes\": " << s.storm_bytes << ",\n     "
-         << outcome_json("baseline", s.baseline) << ",\n     "
-         << outcome_json("unthrottled", s.unthrottled) << ",\n     "
-         << outcome_json("throttled", s.throttled) << ",\n     "
-         << outcome_json("adaptive", s.adaptive) << "}"
-         << (i + 1 == samples.size() ? "\n" : ",\n");
-  }
-  json << "  ]\n}\n";
+  json.end();
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
 
   // ---- acceptance gates ----------------------------------------------

@@ -4,41 +4,39 @@
 //  * stripe-aware vs basic peeling (the paper's "modified" peeling);
 //  * headroom left to the max-matching optimum.
 //
-// Usage: sched_ablation [--csv] [--trials N]
+// Usage: bench_sched_ablation [--csv] [--trials=N] [--help]
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "common/table.h"
 #include "ec/registry.h"
+#include "harness.h"
 #include "sched/locality_sim.h"
 
 namespace {
 
 using namespace dblrep;
 
-int parse_trials(int argc, char** argv, int fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--trials") return std::stoi(argv[i + 1]);
-  }
-  return fallback;
-}
-
 double locality_of(const std::string& spec, sched::Scheduler& scheduler,
-                   int mu, double load, int trials) {
+                   int mu, double load, std::size_t trials) {
   const auto code = ec::make_code(spec).value();
   sched::LocalitySweepConfig config;
   config.slots_per_node = mu;
   config.loads = {load};
-  config.trials = trials;
+  config.trials = static_cast<int>(trials);
   return sched::run_locality_sweep(*code, scheduler, config)[0].mean_locality;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
-  const int trials = parse_trials(argc, argv, 30);
+  bool csv = false;
+  std::size_t trials = 30;
+  bench::Flags flags;
+  flags.add("csv", csv, "print CSV instead of aligned tables")
+      .add("trials", trials, "random placements averaged per point");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   std::cout << "Scheduler ablations (25 nodes, mu=4, 100% load, " << trials
             << " trials)\n\n";

@@ -2,7 +2,7 @@
 // system) for 3-rep, pentagon, heptagon, heptagon-local, (10,9) RAID+m and
 // (12,11) RAID+m, side by side with the paper's published values.
 //
-// Usage: table1_metrics [--csv]
+// Usage: bench_table1_metrics [--csv] [--help]
 //
 // Model: exact per-placement-group absorbing CTMC (node MTBF 10 years,
 // node MTTR 1 hour, parallel repair, rank-oracle fatality), system MTTDL =
@@ -12,6 +12,7 @@
 #include <string>
 
 #include "common/table.h"
+#include "harness.h"
 #include "ec/registry.h"
 #include "reliability/markov.h"
 
@@ -36,7 +37,10 @@ constexpr PaperRow kPaperRows[] = {
 
 int main(int argc, char** argv) {
   using namespace dblrep;
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+  bool csv = false;
+  bench::Flags flags;
+  flags.add("csv", csv, "print CSV instead of aligned tables");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   rel::ReliabilityParams params;  // documented defaults
   TextTable table({"Code", "Storage Overhead", "Code Length",

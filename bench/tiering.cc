@@ -18,17 +18,16 @@
 //    crashes, rack outages, namenode crashes, ...) reports zero invariant
 //    violations and executes at least one mid-transition-capable event.
 //
-// Self-contained harness (no google-benchmark); runs on the inline pool so
-// storage results are a deterministic function of the seed (latencies are
-// wall-clock and only gated against a same-process baseline).
+// Runs on the inline pool so storage results are a deterministic function
+// of the seed (latencies are wall-clock and only gated against a
+// same-process baseline).
 //
-// Usage: tiering [--files=N] [--file-blocks=N] [--block-size=BYTES]
-//                [--rounds=N] [--reads-per-round=N] [--zipf=S]
-//                [--chaos-seeds=N] [--chaos-horizon=S] [--json=PATH]
+// Usage: bench_tiering [--files=N] [--file-blocks=N] [--block-size=BYTES]
+//                      [--rounds=N] [--reads-per-round=N] [--zipf=S]
+//                      [--chaos-seeds=N] [--chaos-horizon=S] [--json=PATH]
+//                      [--help]
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -37,6 +36,7 @@
 #include "common/bytes.h"
 #include "common/rng.h"
 #include "exec/thread_pool.h"
+#include "harness.h"
 #include "hdfs/minidfs.h"
 #include "hdfs/workload_driver.h"
 #include "sched/schedulers.h"
@@ -45,7 +45,6 @@
 namespace {
 
 using namespace dblrep;
-using Clock = std::chrono::steady_clock;
 
 double percentile(std::vector<double> v, double p) {
   if (v.empty()) return 0;
@@ -122,39 +121,17 @@ int main(int argc, char** argv) {
   std::size_t chaos_seeds = 4;
   double chaos_horizon = 15.0;
   std::string json_path = "BENCH_tiering.json";
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto value = [&](const std::string& prefix) {
-      return arg.substr(prefix.size());
-    };
-    try {
-      if (arg.rfind("--files=", 0) == 0) {
-        files = std::stoul(value("--files="));
-      } else if (arg.rfind("--file-blocks=", 0) == 0) {
-        file_blocks = std::stoul(value("--file-blocks="));
-      } else if (arg.rfind("--block-size=", 0) == 0) {
-        block_size = std::stoul(value("--block-size="));
-      } else if (arg.rfind("--rounds=", 0) == 0) {
-        rounds = std::stoul(value("--rounds="));
-      } else if (arg.rfind("--reads-per-round=", 0) == 0) {
-        reads_per_round = std::stoul(value("--reads-per-round="));
-      } else if (arg.rfind("--zipf=", 0) == 0) {
-        zipf_s = std::stod(value("--zipf="));
-      } else if (arg.rfind("--chaos-seeds=", 0) == 0) {
-        chaos_seeds = std::stoul(value("--chaos-seeds="));
-      } else if (arg.rfind("--chaos-horizon=", 0) == 0) {
-        chaos_horizon = std::stod(value("--chaos-horizon="));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        json_path = value("--json=");
-      } else {
-        std::fprintf(stderr, "unknown arg: %s\n", arg.c_str());
-        return 2;
-      }
-    } catch (const std::exception&) {
-      std::fprintf(stderr, "bad value in arg: %s\n", arg.c_str());
-      return 2;
-    }
-  }
+  bench::Flags flags;
+  flags.add("files", files, "files in the namespace")
+      .add("file-blocks", file_blocks, "blocks per file")
+      .add("block-size", block_size, "bytes per block")
+      .add("rounds", rounds, "read rounds, each followed by an engine pass")
+      .add("reads-per-round", reads_per_round, "Zipf block reads per round")
+      .add("zipf", zipf_s, "Zipf skew exponent")
+      .add("chaos-seeds", chaos_seeds, "seeds in the chaos sweep")
+      .add("chaos-horizon", chaos_horizon, "simulated seconds per chaos seed")
+      .add("json", json_path, "output path");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   bool ok = true;
   const auto gate = [&ok](bool passed, const std::string& what) {
@@ -281,11 +258,9 @@ int main(int argc, char** argv) {
     for (std::size_t i = 0; i < 40 * hot_count; ++i) {
       const std::size_t rank = measure_rng.next_below(hot_count);
       const std::size_t block = measure_rng.next_below(file_blocks);
-      const auto start = Clock::now();
+      const auto start = bench::Clock::now();
       const auto read = target.read_block(file_path(rank), block);
-      us.push_back(std::chrono::duration<double, std::micro>(Clock::now() -
-                                                             start)
-                       .count());
+      us.push_back(bench::seconds_since(start) * 1e6);
       gate(read.is_ok(), "hot measurement read");
     }
     return us;
@@ -340,40 +315,48 @@ int main(int argc, char** argv) {
   gate(chaos_violations == 0, "chaos violations with tier transitions");
   gate(chaos_tier_events > 0, "chaos sweep executed no tier transitions");
 
-  std::ofstream json(json_path);
-  json << "{\n"
-       << "  \"config\": {\"files\": " << files << ", \"file_blocks\": "
-       << file_blocks << ", \"block_size\": " << block_size
-       << ", \"rounds\": " << rounds << ", \"reads_per_round\": "
-       << reads_per_round << ", \"zipf_s\": " << zipf_s
-       << ", \"chaos_seeds\": " << chaos_seeds << ", \"chaos_horizon_s\": "
-       << chaos_horizon << "},\n"
-       << "  \"transitions\": {\"total\": " << total_transitions
-       << ", \"errors\": " << total_errors << ", \"per_round\": [";
-  for (std::size_t i = 0; i < per_round_transitions.size(); ++i) {
-    json << (i ? ", " : "") << per_round_transitions[i];
-  }
-  json << "]},\n"
-       << "  \"storage\": {\"logical_bytes\": " << logical_bytes
-       << ", \"tiered_overhead\": " << tiered_overhead
-       << ", \"baseline_overhead\": " << baseline_overhead << "},\n"
-       << "  \"census\": {";
-  bool first = true;
-  for (const auto& [spec, count] : census) {
-    json << (first ? "" : ", ") << "\"" << spec << "\": " << count;
-    first = false;
-  }
-  json << "},\n"
-       << "  \"hot_reads\": {\"tiered_p50_us\": " << hot_p50
-       << ", \"tiered_p99_us\": " << hot_p99 << ", \"baseline_p50_us\": "
-       << base_p50 << ", \"baseline_p99_us\": " << base_p99
-       << ", \"budget_us\": " << latency_budget_us << "},\n"
-       << "  \"locality\": {\"hot\": " << hot_locality << ", \"cold\": "
-       << cold_locality << "},\n"
-       << "  \"chaos\": {\"violations\": " << chaos_violations
-       << ", \"tier_events\": " << chaos_tier_events << "},\n"
-       << "  \"gates_passed\": " << (ok ? "true" : "false") << "\n"
-       << "}\n";
+  bench::JsonWriter json(json_path);
+  json.object("config")
+      .field("files", files)
+      .field("file_blocks", file_blocks)
+      .field("block_size", block_size)
+      .field("rounds", rounds)
+      .field("reads_per_round", reads_per_round)
+      .field("zipf_s", zipf_s)
+      .field("chaos_seeds", chaos_seeds)
+      .field("chaos_horizon_s", chaos_horizon)
+      .end();
+  json.object("transitions")
+      .field("total", total_transitions)
+      .field("errors", total_errors)
+      .array("per_round");
+  for (const std::size_t n : per_round_transitions) json.item(n);
+  json.end().end();
+  json.object("storage")
+      .field("logical_bytes", logical_bytes)
+      .field("tiered_overhead", tiered_overhead)
+      .field("baseline_overhead", baseline_overhead)
+      .end();
+  json.object("census");
+  for (const auto& [spec, count] : census) json.field(spec, count);
+  json.end();
+  json.object("hot_reads")
+      .field("tiered_p50_us", hot_p50)
+      .field("tiered_p99_us", hot_p99)
+      .field("baseline_p50_us", base_p50)
+      .field("baseline_p99_us", base_p99)
+      .field("budget_us", latency_budget_us)
+      .end();
+  json.object("locality")
+      .field("hot", hot_locality)
+      .field("cold", cold_locality)
+      .end();
+  json.object("chaos")
+      .field("violations", chaos_violations)
+      .field("tier_events", chaos_tier_events)
+      .end();
+  json.field("gates_passed", ok);
+  if (!json.finish()) return 1;
   std::fprintf(stderr, "wrote %s\n", json_path.c_str());
   return ok ? 0 : 1;
 }

@@ -5,17 +5,21 @@
 // network traffic; Reed-Solomon pays k x (the cited "XORing elephants"
 // problem), which is why HDFS-RAID reserves RS for cold data.
 //
-// Usage: transient_repair [--csv]
+// Usage: bench_transient_repair [--csv] [--help]
 #include <iostream>
 #include <string>
 
 #include "cluster/transient_sim.h"
 #include "common/table.h"
 #include "ec/registry.h"
+#include "harness.h"
 
 int main(int argc, char** argv) {
   using namespace dblrep;
-  const bool csv = argc > 1 && std::string(argv[1]) == "--csv";
+  bool csv = false;
+  bench::Flags flags;
+  flags.add("csv", csv, "print CSV instead of aligned tables");
+  if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
 
   cluster::TransientSimConfig config;
   std::cout << "One simulated year, " << config.num_nodes
