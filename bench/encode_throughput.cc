@@ -16,8 +16,11 @@
 //    streaming-store copy rate) on an LLC-busting buffer, records every
 //    scheme's encode rate as a fraction of that roof, and fails unless
 //    each scheme's best kernel clears a stated minimum fraction. The
-//    default fraction is deliberately conservative (shared CI runners),
-//    tightened via --roof-gate=F.
+//    default (0.1 of memcpy with SIMD, 0.005 scalar-only) sits 7-11x
+//    under the slowest scheme (rs-10-4) on a 4-core x86 host (0.70 avx2,
+//    1.03-1.12 gfni, 0.034-0.051 scalar): shared-runner noise passes, and
+//    a 10x regression fails on avx2 and lands at the gate on gfni.
+//    Override it via --roof-gate=F.
 //  * Non-temporal win: for coefficient-1-only schemes (parity is pure
 //    XOR), the modeled memory traffic (gf::slice_op_stats -- a regular
 //    store costs a read-for-ownership, a streaming store does not) must
@@ -121,7 +124,7 @@ int main(int argc, char** argv) {
   flags.add("block-size", block_size, "bytes per block")
       .add("min-time", min_time, "seconds per measurement")
       .add("roof-gate", roof_gate,
-           "min encode fraction of memcpy (<0: 0.02 with SIMD, else 0.002)")
+           "min encode fraction of memcpy (<0: 0.1 with SIMD, else 0.005)")
       .add("json", json_path, "output path");
   if (const auto exit_code = flags.parse(argc, argv)) return *exit_code;
   if (block_size == 0) {
@@ -137,7 +140,7 @@ int main(int argc, char** argv) {
   // magnitude slower relative to its copy bandwidth than a SIMD one, so
   // the default stated fraction depends on the best supported kernel.
   const bool simd_available = gf::supported_kernels().size() > 1;
-  if (roof_gate < 0) roof_gate = simd_available ? 0.02 : 0.002;
+  if (roof_gate < 0) roof_gate = simd_available ? 0.1 : 0.005;
 
   const Roofline roof = measure_roofline(min_time);
   std::fprintf(stderr,

@@ -80,7 +80,8 @@ class DataNode {
 
   /// Diagnostic hook: raw stored bytes, ignoring liveness and skipping CRC
   /// verification. The chaos fingerprints use it to cover offline disks and
-  /// corrupted blocks; data-plane reads must go through get().
+  /// corrupted blocks; data-plane reads must go through read() (or its
+  /// copying form get()), which verify the CRC.
   Result<Buffer> peek(cluster::SlotAddress address) const;
 
   /// Addresses of every block currently stored.

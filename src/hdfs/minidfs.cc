@@ -11,13 +11,6 @@
 
 namespace dblrep::hdfs {
 
-MiniDfs::MiniDfs(const cluster::Topology& topology, std::uint64_t seed)
-    : MiniDfs(topology, seed, &exec::default_pool()) {}
-
-MiniDfs::MiniDfs(const cluster::Topology& topology, std::uint64_t seed,
-                 exec::ThreadPool* pool)
-    : MiniDfs(topology, seed, pool, MiniDfsOptions{}) {}
-
 MiniDfs::MiniDfs(const cluster::Topology& topology, std::uint64_t seed,
                  exec::ThreadPool* pool, const MiniDfsOptions& options)
     : topology_(topology),
@@ -28,7 +21,7 @@ MiniDfs::MiniDfs(const cluster::Topology& topology, std::uint64_t seed,
           // table (one scheme + codec pool per spec, created on demand).
           [this](const std::string& spec) { return this->scheme(spec); },
           NameNodeOptions{options.meta_shards, options.meta_snapshot_every}),
-      traffic_(topology_),
+      traffic_(topology_, options.transfer_log),
       pool_(pool != nullptr ? pool : &exec::inline_pool()),
       rng_(seed) {
   for (std::size_t n = 0; n < topology_.num_nodes; ++n) {
@@ -223,7 +216,7 @@ Status MiniDfs::store_stripe_batch(SchemeRuntime& rt, std::size_t block_size,
           // Client -> datanode transfer (the client is off-cluster),
           // charged at the slot payload size: a full block for α == 1, one
           // sub-chunk for sub-packetized schemes.
-          account_upload(node, static_cast<double>(symbol.size()), cls);
+          traffic_.record(net::kClientEndpoint, node, symbol.size(), cls);
         }
         return Status::ok();
       });
@@ -457,7 +450,7 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
       Buffer out;
       out.reserve(file.block_size);
       for (auto& [node, bytes] : units) {
-        account_delivery(node, static_cast<double>(bytes.size()), cls);
+        traffic_.record(node, net::kClientEndpoint, bytes.size(), cls);
         out.insert(out.end(), bytes.begin(), bytes.end());
       }
       return out;
@@ -506,23 +499,11 @@ Result<Buffer> MiniDfs::read_data_block(const FileInfo& file,
   if (delivered->size() != alpha) {
     return internal_error("degraded read returned unexpected unit count");
   }
-  // Account every aggregate that crossed the wire, at the unit payload
-  // size the stripe actually stores (block_size / α; the full block for
-  // α == 1 schemes).
-  const double unit_bytes =
-      store.empty() ? 0.0 : static_cast<double>(store.begin()->second.size());
-  for (const auto& send : plan.aggregates) {
-    const cluster::NodeId from =
-        group[static_cast<std::size_t>(send.from_node)];
-    if (send.to_node == ec::kClientNode) {
-      account_delivery(from, unit_bytes, cls);
-    } else {
-      account(from, group[static_cast<std::size_t>(send.to_node)],
-              unit_bytes, cls);
-    }
-  }
-  // One degraded read = one dependency-chained flow in a captured replay.
-  if (options_.transfer_log != nullptr) options_.transfer_log->mark();
+  // Charge every aggregate that crossed the wire, at the unit payload size
+  // the stripe actually stores (block_size / α; the full block for α == 1
+  // schemes).
+  DBLREP_RETURN_IF_ERROR(charge_plan(
+      plan, group, store.empty() ? 0 : store.begin()->second.size(), cls));
   // plan_degraded_block delivers the α client units in unit order, so they
   // concatenate straight back into the logical block.
   Buffer out;
@@ -720,28 +701,25 @@ Result<RecoveryReport> MiniDfs::crash_namenode() {
   return report;
 }
 
-void MiniDfs::account(cluster::NodeId from, cluster::NodeId to, double bytes,
-                      net::TransferClass cls) {
-  traffic_.record(from, to, bytes);
-  if (options_.transfer_log != nullptr) {
-    options_.transfer_log->record(from, to, bytes, cls);
+Status MiniDfs::charge_plan(const ec::RepairPlan& plan,
+                            const std::vector<cluster::NodeId>& group,
+                            std::size_t unit_bytes, net::TransferClass cls) {
+  const auto in_group = [&](ec::NodeIndex node) {
+    return node >= 0 && static_cast<std::size_t>(node) < group.size();
+  };
+  for (const auto& send : plan.aggregates) {
+    const bool to_client = send.to_node == ec::kClientNode;
+    if (!in_group(send.from_node) || !(to_client || in_group(send.to_node))) {
+      return internal_error("plan send references a node outside the "
+                            "stripe's placement group");
+    }
+    traffic_.record(group[static_cast<std::size_t>(send.from_node)],
+                    to_client ? net::kClientEndpoint
+                              : group[static_cast<std::size_t>(send.to_node)],
+                    unit_bytes, cls);
   }
-}
-
-void MiniDfs::account_upload(cluster::NodeId node, double bytes,
-                             net::TransferClass cls) {
-  traffic_.record_from_client(node, bytes);
-  if (options_.transfer_log != nullptr) {
-    options_.transfer_log->record(net::kClientEndpoint, node, bytes, cls);
-  }
-}
-
-void MiniDfs::account_delivery(cluster::NodeId node, double bytes,
-                               net::TransferClass cls) {
-  traffic_.record_to_client(node, bytes);
-  if (options_.transfer_log != nullptr) {
-    options_.transfer_log->record(node, net::kClientEndpoint, bytes, cls);
-  }
+  traffic_.mark();
+  return Status::ok();
 }
 
 std::set<cluster::NodeId> MiniDfs::down_nodes() const {
@@ -812,22 +790,11 @@ Status MiniDfs::repair_stripe(cluster::StripeId stripe) {
       store.empty() ? 0 : store.begin()->second.size();
 
   // Persist only what landed on *live* nodes; still-down nodes get theirs
-  // when they are repaired. Account traffic per aggregate send.
-  for (const auto& send : plan->aggregates) {
-    if (static_cast<std::size_t>(send.from_node) >= info.group.size() ||
-        static_cast<std::size_t>(send.to_node) >= info.group.size()) {
-      return internal_error("repair plan send references a node outside the "
-                            "stripe's placement group");
-    }
-    account(info.group[static_cast<std::size_t>(send.from_node)],
-            info.group[static_cast<std::size_t>(send.to_node)],
-            static_cast<double>(repair_block_size),
-            net::TransferClass::kRepair);
-  }
-  // One stripe's repair = one dependency-chained flow; stripes of a larger
-  // repair run independently (and that parallelism is the storm a captured
-  // replay must reproduce).
-  if (options_.transfer_log != nullptr) options_.transfer_log->mark();
+  // when they are repaired. Charge traffic per aggregate send; stripes of
+  // a larger repair are independent flows (and that parallelism is the
+  // storm a captured replay must reproduce).
+  DBLREP_RETURN_IF_ERROR(charge_plan(*plan, info.group, repair_block_size,
+                                     net::TransferClass::kRepair));
   // Re-check the seal before persisting. The repair lease already excludes
   // deletion, so this is a backstop against plan or state corruption: if
   // it ever fires, fail loudly rather than resurrect dropped blocks.
@@ -989,8 +956,8 @@ Result<std::size_t> MiniDfs::scrub_repair() {
                                                               symbol));
             // The rewrite is sourced from the decoding site; count the
             // slot's payload (one unit) of traffic per healed replica.
-            account_upload(node, static_cast<double>(symbol.size()),
-                           net::TransferClass::kScrub);
+            traffic_.record(net::kClientEndpoint, node, symbol.size(),
+                            net::TransferClass::kScrub);
             healed.fetch_add(1);
           }
           return Status::ok();

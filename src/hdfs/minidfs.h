@@ -21,9 +21,11 @@
 //    including multi-failure partial-parity recovery; with layered_repair
 //    enabled, every plan is rewritten through ec::layer_plan so each rack
 //    relays one combined block instead of per-helper sends.
-//  * TrafficMeter: every byte that crosses the (simulated) wire is
-//    accounted -- split into intra-rack, cross-rack, and client-bound --
-//    so tests can assert the paper's repair-bandwidth numbers end to end.
+//  * net::TrafficMeter: every byte that crosses the (simulated) wire is
+//    recorded once, with its endpoints and class, and bucketed into
+//    intra-rack, cross-rack, client upload or client delivery -- so tests
+//    can assert the paper's repair-bandwidth numbers end to end. The same
+//    call feeds the optional net::TransferLog capture.
 //
 // Concurrency model (the paper's real deployment regime: many clients
 // reading and writing while repairs run in the background):
@@ -60,7 +62,6 @@
 #include "cluster/catalog.h"
 #include "cluster/placement.h"
 #include "cluster/topology.h"
-#include "cluster/traffic.h"
 #include "common/rng.h"
 #include "ec/code.h"
 #include "exec/runtime_pool.h"
@@ -68,6 +69,7 @@
 #include "exec/thread_pool.h"
 #include "hdfs/datanode.h"
 #include "hdfs/namenode.h"
+#include "net/traffic.h"
 #include "net/transfer.h"
 
 namespace dblrep::hdfs {
@@ -120,12 +122,12 @@ struct MiniDfsOptions {
   /// either way; only the traffic's rack split changes.
   bool layered_repair = false;
 
-  /// Link-level network model shim (off by default): when set, every byte
-  /// the TrafficMeter accounts is also captured as a classed, directed
-  /// net::TransferRecord, so a harness can replay the exact transfer
-  /// pattern into a net::NetworkModel for contention/latency simulation.
-  /// Not owned; must outlive the DFS. Capture only -- no data-plane
-  /// behavior (bytes, placement, traffic totals) changes.
+  /// Capture sink for link-level replay (off by default): the DFS's
+  /// net::TrafficMeter forwards every transfer it records, classed and
+  /// directed, and every flow boundary to it, so a harness can replay the
+  /// exact transfer pattern into a net::NetworkModel. Not owned; must
+  /// outlive the DFS. Capture only -- no data-plane behavior (bytes,
+  /// placement, traffic totals) changes.
   net::TransferLog* transfer_log = nullptr;
 
   /// Metadata shard count of the sharded NameNode (0 = the default, 4).
@@ -145,18 +147,13 @@ struct MiniDfsOptions {
 
 class MiniDfs {
  public:
-  /// Runs parallel operations on exec::default_pool() (DBLREP_THREADS
-  /// override applies).
-  MiniDfs(const cluster::Topology& topology, std::uint64_t seed);
-
-  /// Pool injection for benchmarks and determinism tests. `pool` is not
-  /// owned and must outlive the DFS; nullptr selects exec::inline_pool(),
-  /// i.e. the fully serial execution order.
+  /// Runs parallel operations on `pool`, by default exec::default_pool()
+  /// (DBLREP_THREADS override applies). `pool` is not owned and must
+  /// outlive the DFS; nullptr selects exec::inline_pool(), i.e. the fully
+  /// serial execution order.
   MiniDfs(const cluster::Topology& topology, std::uint64_t seed,
-          exec::ThreadPool* pool);
-
-  MiniDfs(const cluster::Topology& topology, std::uint64_t seed,
-          exec::ThreadPool* pool, const MiniDfsOptions& options);
+          exec::ThreadPool* pool = &exec::default_pool(),
+          const MiniDfsOptions& options = {});
 
   MiniDfs(const MiniDfs&) = delete;
   MiniDfs& operator=(const MiniDfs&) = delete;
@@ -306,8 +303,8 @@ class MiniDfs {
 
   // ------------------------------------------------------------ access
 
-  const cluster::TrafficMeter& traffic() const { return traffic_; }
-  cluster::TrafficMeter& traffic() { return traffic_; }
+  const net::TrafficMeter& traffic() const { return traffic_; }
+  net::TrafficMeter& traffic() { return traffic_; }
   const MiniDfsOptions& options() const { return options_; }
   /// The metadata plane's catalog view (BlockCatalog-shaped read surface,
   /// routed across the NameNode's shards).
@@ -448,27 +445,21 @@ class MiniDfs {
   /// them so the catalog and the disks agree again.
   void gc_stale_replicas(DataNode& dn);
 
-  // Traffic accounting shims: each feeds the TrafficMeter exactly as
-  // before and, when options_.transfer_log is set, also captures a classed
-  // net::TransferRecord for link-level replay.
-  /// Node-to-node transfer (repair helper sends, relay hops, ...).
-  void account(cluster::NodeId from, cluster::NodeId to, double bytes,
-               net::TransferClass cls);
-  /// Client -> node upload (write fan-out, scrub re-injection); charged to
-  /// the node's received bytes.
-  void account_upload(cluster::NodeId node, double bytes,
-                      net::TransferClass cls);
-  /// Node -> client delivery (read / pread / degraded-read results);
-  /// charged to the node's sent bytes.
-  void account_delivery(cluster::NodeId node, double bytes,
-                        net::TransferClass cls);
+  /// Records every send of an executed plan over placement `group` at
+  /// `unit_bytes` each (code-local nodes map through `group`, the plan's
+  /// client to net::kClientEndpoint) and ends the flow: one repaired
+  /// stripe or one degraded read is one dependency-chained flow in a
+  /// captured replay. INTERNAL if a send names a node outside the group.
+  Status charge_plan(const ec::RepairPlan& plan,
+                     const std::vector<cluster::NodeId>& group,
+                     std::size_t unit_bytes, net::TransferClass cls);
 
   cluster::Topology topology_;
   MiniDfsOptions options_;
   /// The sharded metadata plane: namespace, pending writes, block catalog,
   /// per-path locks, write-ahead journals, and snapshots all live here.
   NameNode namenode_;
-  cluster::TrafficMeter traffic_;
+  net::TrafficMeter traffic_;
   exec::ThreadPool* pool_;
   std::deque<DataNode> datanodes_;  // deque: DataNode is pinned (own mutex)
 

@@ -37,9 +37,10 @@ class RaidNode {
   /// Re-encodes `path` with `target_code_spec` (e.g. a 3-rep file into a
   /// pentagon file). The file keeps its path and block size. Reads go
   /// through the normal client path (degraded stripes decode on the fly),
-  /// and every byte the re-encode moves is accounted under the kRetier
-  /// transfer class -- throttleable like repair, distinguishable from
-  /// client traffic in TrafficMeter captures.
+  /// and every byte the re-encode moves is recorded under the kRetier
+  /// transfer class -- throttleable like repair, and distinguishable from
+  /// client traffic in a TransferLog capture (the TrafficMeter's buckets
+  /// split by endpoint and rack, not by class).
   ///
   /// Safety: the new layout lands under `path + ".raid-tmp"` and takes
   /// over the path via MiniDfs::replace_file -- publish-then-delete, so

@@ -313,6 +313,7 @@ Result<WorkloadReport> WorkloadDriver::run() {
   std::vector<ClientStats> per_client(options_.clients);
   const auto& meter = dfs_->traffic();
   const double traffic_total0 = meter.total_bytes();
+  const double traffic_intra0 = meter.intra_rack_bytes();
   const double traffic_cross0 = meter.cross_rack_bytes();
   const double traffic_client0 = meter.client_bytes();
   const auto start = Clock::now();
@@ -339,9 +340,7 @@ Result<WorkloadReport> WorkloadDriver::run() {
   report.traffic_total_bytes = meter.total_bytes() - traffic_total0;
   report.traffic_cross_rack_bytes = meter.cross_rack_bytes() - traffic_cross0;
   report.traffic_client_bytes = meter.client_bytes() - traffic_client0;
-  report.traffic_intra_rack_bytes = report.traffic_total_bytes -
-                                    report.traffic_cross_rack_bytes -
-                                    report.traffic_client_bytes;
+  report.traffic_intra_rack_bytes = meter.intra_rack_bytes() - traffic_intra0;
   for (const auto& stats : per_client) {
     report.read.merge(stats.read);
     report.write.merge(stats.write);

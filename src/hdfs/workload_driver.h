@@ -139,7 +139,8 @@ struct WorkloadReport {
   /// Wire traffic the run generated (TrafficMeter delta over the run):
   /// node-to-node bytes split intra- vs cross-rack per the topology, plus
   /// client-facing bytes in either direction (write uploads as well as
-  /// read deliveries). total = intra + cross + client.
+  /// read deliveries). Each is its own meter delta, so
+  /// total == intra + cross + client is a check, not a definition.
   double traffic_total_bytes = 0;
   double traffic_intra_rack_bytes = 0;
   double traffic_cross_rack_bytes = 0;

@@ -38,8 +38,8 @@
 // balance at any instant, mid-flight included.
 //
 // Single-threaded by design, like the EventQueue it runs on: harnesses
-// capture transfers from the (possibly parallel) data plane through the
-// TransferLog shim and replay them here deterministically.
+// capture transfers from the (possibly parallel) data plane in a
+// TransferLog and replay them here deterministically.
 #pragma once
 
 #include <functional>

@@ -1,12 +1,13 @@
-// Transfer records and the capture shim between the data plane and the
+// Transfer records and the capture sink between the data plane and the
 // link-level network model.
 //
 // The MiniDfs data plane moves real bytes synchronously; the network model
 // (net/model.h) simulates *time*. The bridge is deliberately thin: every
-// data-moving path in MiniDfs calls TransferLog::record right next to its
-// TrafficMeter accounting, tagging the transfer with a class (client write
-// upload, client read delivery, repair, scrub heal) and a direction -- the
-// off-cluster client endpoint is kClientEndpoint. A driver (bench_repair_qos,
+// data-moving path in MiniDfs records each transfer once on its
+// TrafficMeter (net/traffic.h), tagged with a class (client write upload,
+// client read delivery, repair, scrub heal, retier) and a direction -- the
+// off-cluster client endpoint is kClientEndpoint -- and a meter built with
+// a TransferLog forwards the record here. A driver (bench_repair_qos,
 // dfsctl --net) drains the captured records and replays them into a
 // NetworkModel, where contention, queueing, and QoS pacing happen.
 //
@@ -53,17 +54,18 @@ struct TransferRecord {
   TransferClass cls = TransferClass::kClientRead;
 };
 
-/// Thread-safe capture shim. MiniDfs records into it (when attached via
-/// MiniDfsOptions::transfer_log); harnesses drain it between operations to
-/// learn the exact per-op transfer pattern.
+/// Thread-safe capture sink. A TrafficMeter forwards every transfer it
+/// records into it (MiniDfs attaches one via MiniDfsOptions::transfer_log);
+/// harnesses drain it between operations to learn the exact per-op
+/// transfer pattern.
 ///
 /// Flow boundaries: NetworkModel::start_flow dependency-chains the records
 /// of ONE operation; chaining records of unrelated operations would
 /// manufacture false dependencies (every reused node id becomes an edge)
-/// and serialize a storm that is really parallel. MiniDfs therefore calls
-/// mark() after each multi-send operation (one repaired stripe, one
-/// degraded read), and drain_flows() hands the harness the capture
-/// pre-split at those marks.
+/// and serialize a storm that is really parallel. MiniDfs therefore marks
+/// the end of each multi-send operation (one repaired stripe, one degraded
+/// read) through TrafficMeter::mark(), and drain_flows() hands the harness
+/// the capture pre-split at those marks.
 class TransferLog {
  public:
   void record(cluster::NodeId from, cluster::NodeId to, double bytes,

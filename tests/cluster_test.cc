@@ -1,12 +1,9 @@
-// Tests for the cluster layer: topology/racks, traffic metering, and the
-// block catalog.
+// Tests for the cluster layer: topology/racks and the block catalog.
 #include <gtest/gtest.h>
 
 #include "cluster/catalog.h"
 #include "cluster/topology.h"
-#include "cluster/traffic.h"
 #include "common/check.h"
-#include "common/rng.h"
 #include "ec/polygon.h"
 #include "ec/registry.h"
 
@@ -30,96 +27,6 @@ TEST(Topology, RackAssignmentRoundRobins) {
   EXPECT_TRUE(t.same_rack(0, 3));
   EXPECT_FALSE(t.same_rack(0, 1));
   EXPECT_THROW(t.rack_of(6), ContractViolation);
-}
-
-TEST(TrafficMeter, CountsOnlyNetworkBytes) {
-  const Topology t = setup1_topology();
-  TrafficMeter meter(t);
-  meter.record(0, 0, 1e6);  // local read: free
-  EXPECT_DOUBLE_EQ(meter.total_bytes(), 0.0);
-  meter.record(0, 1, 2e6);
-  meter.record(1, 0, 3e6);
-  EXPECT_DOUBLE_EQ(meter.total_bytes(), 5e6);
-  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(0), 2e6);
-  EXPECT_DOUBLE_EQ(meter.node_received_bytes(0), 3e6);
-}
-
-TEST(TrafficMeter, TracksCrossRackSeparately) {
-  Topology t;
-  t.num_nodes = 4;
-  t.num_racks = 2;
-  TrafficMeter meter(t);
-  meter.record(0, 2, 1e6);  // same rack (0 and 2 are rack 0)
-  meter.record(0, 1, 1e6);  // cross rack
-  EXPECT_DOUBLE_EQ(meter.total_bytes(), 2e6);
-  EXPECT_DOUBLE_EQ(meter.cross_rack_bytes(), 1e6);
-}
-
-TEST(TrafficMeter, ClientDeliveryAndReset) {
-  const Topology t = setup2_topology();
-  TrafficMeter meter(t);
-  meter.record_to_client(3, 7e6);
-  meter.record_from_client(4, 2e6);
-  EXPECT_DOUBLE_EQ(meter.total_bytes(), 9e6);
-  EXPECT_DOUBLE_EQ(meter.client_bytes(), 9e6);
-  EXPECT_DOUBLE_EQ(meter.client_delivery_bytes(), 7e6);
-  EXPECT_DOUBLE_EQ(meter.client_upload_bytes(), 2e6);
-  // A delivery is sent by its node; an upload is received by its node.
-  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(3), 7e6);
-  EXPECT_DOUBLE_EQ(meter.node_received_bytes(3), 0.0);
-  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(4), 0.0);
-  EXPECT_DOUBLE_EQ(meter.node_received_bytes(4), 2e6);
-  EXPECT_DOUBLE_EQ(meter.intra_rack_bytes() + meter.cross_rack_bytes(), 0.0);
-  meter.reset();
-  EXPECT_DOUBLE_EQ(meter.total_bytes(), 0.0);
-  EXPECT_DOUBLE_EQ(meter.client_bytes(), 0.0);
-  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(3), 0.0);
-  EXPECT_DOUBLE_EQ(meter.node_received_bytes(4), 0.0);
-}
-
-TEST(TrafficMeter, ConservationHoldsAcrossRandomWorkloads) {
-  // Every recorded byte must land in exactly one bucket and the buckets
-  // must reconcile with the independently-accumulated total and per-node
-  // sums -- the accounting invariant the chaos harness asserts between
-  // events. Exact equality is sound: whole byte counts far below 2^53.
-  Rng rng(31);
-  for (int trial = 0; trial < 20; ++trial) {
-    Topology t;
-    t.num_nodes = 4 + static_cast<std::size_t>(rng.next_below(20));
-    t.num_racks = 1 + static_cast<std::size_t>(rng.next_below(4));
-    TrafficMeter meter(t);
-    for (int op = 0; op < 200; ++op) {
-      const auto from = static_cast<NodeId>(rng.next_below(t.num_nodes));
-      const double bytes = static_cast<double>(rng.next_below(1 << 20));
-      const double kind = rng.next_double();
-      if (kind < 0.2) {
-        meter.record_to_client(from, bytes);
-      } else if (kind < 0.4) {
-        meter.record_from_client(from, bytes);
-      } else {
-        meter.record(from, static_cast<NodeId>(rng.next_below(t.num_nodes)),
-                     bytes);
-      }
-    }
-    EXPECT_EQ(meter.intra_rack_bytes() + meter.cross_rack_bytes() +
-                  meter.client_bytes(),
-              meter.total_bytes());
-    double sent = 0, received = 0;
-    for (std::size_t n = 0; n < t.num_nodes; ++n) {
-      sent += meter.node_sent_bytes(static_cast<NodeId>(n));
-      received += meter.node_received_bytes(static_cast<NodeId>(n));
-    }
-    const double node_to_node =
-        meter.intra_rack_bytes() + meter.cross_rack_bytes();
-    EXPECT_EQ(meter.client_upload_bytes() + meter.client_delivery_bytes(),
-              meter.client_bytes());
-    EXPECT_EQ(sent, node_to_node + meter.client_delivery_bytes());
-    EXPECT_EQ(received, node_to_node + meter.client_upload_bytes());
-    EXPECT_GE(meter.intra_rack_bytes(), 0.0);
-    EXPECT_GE(meter.cross_rack_bytes(), 0.0);
-    EXPECT_GT(meter.client_upload_bytes(), 0.0);
-    EXPECT_GT(meter.client_delivery_bytes(), 0.0);
-  }
 }
 
 TEST(BlockCatalog, RegistersAndResolvesPentagonStripe) {

@@ -1,18 +1,24 @@
-// Tests for the link-level network model: token-bucket QoS math, FIFO
-// store-and-forward timing on the two-tier fabric, flow dependency
-// chaining, conservation (mid-flight and drained), and the MiniDfs
-// TransferLog capture shim.
+// Tests for the network layer: the TrafficMeter wire ledger and its
+// TransferLog capture (unit level and across every MiniDfs data path),
+// token-bucket QoS math, FIFO store-and-forward timing on the two-tier
+// fabric, flow dependency chaining, and conservation (mid-flight and
+// drained).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "chaos/invariants.h"
+#include "cluster/placement.h"
 #include "cluster/topology.h"
+#include "common/check.h"
 #include "common/rng.h"
+#include "ec/registry.h"
 #include "hdfs/minidfs.h"
 #include "net/model.h"
 #include "net/qos.h"
+#include "net/traffic.h"
 #include "net/transfer.h"
 #include "sim/event_queue.h"
 
@@ -34,6 +40,134 @@ cluster::Topology small_topology(std::size_t nodes = 6,
   topology.num_nodes = nodes;
   topology.num_racks = racks;
   return topology;
+}
+
+// ----------------------------------------------------------- TrafficMeter
+
+constexpr TransferClass kAnyClass = TransferClass::kRepair;
+
+TEST(TrafficMeter, CountsOnlyNetworkBytes) {
+  const cluster::Topology t = cluster::setup1_topology();
+  TrafficMeter meter(t);
+  meter.record(0, 0, 1'000'000, kAnyClass);  // local read: free
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 0.0);
+  meter.record(0, 1, 2'000'000, kAnyClass);
+  meter.record(1, 0, 3'000'000, kAnyClass);
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 5e6);
+  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(0), 2e6);
+  EXPECT_DOUBLE_EQ(meter.node_received_bytes(0), 3e6);
+}
+
+TEST(TrafficMeter, TracksCrossRackSeparately) {
+  const cluster::Topology t = small_topology(4, 2);
+  TrafficMeter meter(t);
+  meter.record(0, 2, 1'000'000, kAnyClass);  // same rack (0 and 2: rack 0)
+  meter.record(0, 1, 1'000'000, kAnyClass);  // cross rack
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 2e6);
+  EXPECT_DOUBLE_EQ(meter.intra_rack_bytes(), 1e6);
+  EXPECT_DOUBLE_EQ(meter.cross_rack_bytes(), 1e6);
+}
+
+TEST(TrafficMeter, ClientDeliveryAndReset) {
+  const cluster::Topology t = cluster::setup2_topology();
+  TrafficMeter meter(t);
+  meter.record(3, kClientEndpoint, 7'000'000, TransferClass::kClientRead);
+  meter.record(kClientEndpoint, 4, 2'000'000, TransferClass::kClientWrite);
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 9e6);
+  EXPECT_DOUBLE_EQ(meter.client_bytes(), 9e6);
+  EXPECT_DOUBLE_EQ(meter.client_delivery_bytes(), 7e6);
+  EXPECT_DOUBLE_EQ(meter.client_upload_bytes(), 2e6);
+  // A delivery is sent by its node; an upload is received by its node.
+  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(3), 7e6);
+  EXPECT_DOUBLE_EQ(meter.node_received_bytes(3), 0.0);
+  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(4), 0.0);
+  EXPECT_DOUBLE_EQ(meter.node_received_bytes(4), 2e6);
+  EXPECT_DOUBLE_EQ(meter.intra_rack_bytes() + meter.cross_rack_bytes(), 0.0);
+  meter.reset();
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(meter.client_bytes(), 0.0);
+  EXPECT_DOUBLE_EQ(meter.node_sent_bytes(3), 0.0);
+  EXPECT_DOUBLE_EQ(meter.node_received_bytes(4), 0.0);
+}
+
+TEST(TrafficMeter, ConservationHoldsAcrossRandomWorkloads) {
+  // Every recorded byte must land in exactly one bucket and the buckets
+  // must reconcile with the independently-accumulated total and per-node
+  // sums -- the accounting invariant the chaos harness asserts between
+  // events. Exact equality is sound: whole byte counts far below 2^53.
+  Rng rng(31);
+  for (int trial = 0; trial < 20; ++trial) {
+    const cluster::Topology t =
+        small_topology(4 + static_cast<std::size_t>(rng.next_below(20)),
+                       1 + static_cast<std::size_t>(rng.next_below(4)));
+    TrafficMeter meter(t);
+    for (int op = 0; op < 200; ++op) {
+      const auto node =
+          static_cast<cluster::NodeId>(rng.next_below(t.num_nodes));
+      const std::size_t bytes = rng.next_below(1 << 20);
+      const double kind = rng.next_double();
+      if (kind < 0.2) {
+        meter.record(node, kClientEndpoint, bytes, kAnyClass);
+      } else if (kind < 0.4) {
+        meter.record(kClientEndpoint, node, bytes, kAnyClass);
+      } else {
+        meter.record(node,
+                     static_cast<cluster::NodeId>(rng.next_below(t.num_nodes)),
+                     bytes, kAnyClass);
+      }
+    }
+    EXPECT_EQ(meter.intra_rack_bytes() + meter.cross_rack_bytes() +
+                  meter.client_bytes(),
+              meter.total_bytes());
+    double sent = 0, received = 0;
+    for (std::size_t n = 0; n < t.num_nodes; ++n) {
+      sent += meter.node_sent_bytes(static_cast<cluster::NodeId>(n));
+      received += meter.node_received_bytes(static_cast<cluster::NodeId>(n));
+    }
+    const double node_to_node =
+        meter.intra_rack_bytes() + meter.cross_rack_bytes();
+    EXPECT_EQ(meter.client_upload_bytes() + meter.client_delivery_bytes(),
+              meter.client_bytes());
+    EXPECT_EQ(sent, node_to_node + meter.client_delivery_bytes());
+    EXPECT_EQ(received, node_to_node + meter.client_upload_bytes());
+    EXPECT_GE(meter.intra_rack_bytes(), 0.0);
+    EXPECT_GE(meter.cross_rack_bytes(), 0.0);
+    EXPECT_GT(meter.client_upload_bytes(), 0.0);
+    EXPECT_GT(meter.client_delivery_bytes(), 0.0);
+  }
+}
+
+TEST(TrafficMeter, RejectsIdsOutsideTheTopologyAndTheClient) {
+  const cluster::Topology t = small_topology(6, 3);
+  TrafficMeter meter(t);
+  EXPECT_THROW(meter.record(6, 0, 1, kAnyClass), ContractViolation);
+  EXPECT_THROW(meter.record(0, 6, 1, kAnyClass), ContractViolation);
+  EXPECT_THROW(meter.record(-2, 0, 1, kAnyClass), ContractViolation);
+  EXPECT_THROW(meter.record(kClientEndpoint, -2, 1, kAnyClass),
+               ContractViolation);
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 0.0);
+  meter.record(5, kClientEndpoint, 1, kAnyClass);  // the last node is fine
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 1.0);
+}
+
+TEST(TrafficMeter, ForwardsRecordsAndMarksToItsCapture) {
+  const cluster::Topology t = small_topology(6, 3);
+  TransferLog log;
+  TrafficMeter meter(t, &log);
+  meter.record(kClientEndpoint, 1, 10, TransferClass::kClientWrite);
+  meter.record(2, 2, 99, TransferClass::kRepair);  // self: neither counted
+  meter.mark();                                    // nor captured
+  meter.record(0, 1, 20, TransferClass::kRepair);
+  meter.record(1, kClientEndpoint, 30, TransferClass::kClientRead);
+  const auto flows = log.drain_flows();
+  ASSERT_EQ(flows.size(), 2u);
+  ASSERT_EQ(flows[0].size(), 1u);
+  EXPECT_EQ(flows[0][0].from, kClientEndpoint);
+  EXPECT_EQ(flows[0][0].cls, TransferClass::kClientWrite);
+  ASSERT_EQ(flows[1].size(), 2u);
+  EXPECT_EQ(flows[1][0].bytes, 20.0);
+  EXPECT_EQ(flows[1][1].to, kClientEndpoint);
+  EXPECT_DOUBLE_EQ(meter.total_bytes(), 60.0);
 }
 
 // ------------------------------------------------------------ TokenBucket
@@ -292,55 +426,116 @@ TEST(TransferLog, RecordsDrainInCaptureOrder) {
   EXPECT_EQ(log.size(), 0u);
 }
 
-TEST(MiniDfsShim, CapturesClassedTransfersMatchingTrafficMeter) {
-  cluster::Topology topology;
-  topology.num_nodes = 12;
-  topology.num_racks = 3;
-  TransferLog log;
-  hdfs::MiniDfsOptions options;
-  options.transfer_log = &log;
-  hdfs::MiniDfs dfs(topology, 7, /*pool=*/nullptr, options);
+// The capture is fed by the meter itself, so the two must agree on every
+// data path: writes, replica reads, degraded reads (plain and layered) and
+// multi-failure repair, for every scheme family and rack layout. The
+// records, bucketed by endpoint and rack, must equal the meter's buckets
+// and per-node sums exactly, and no record may be a self-transfer.
+struct CaptureBuckets {
+  double intra = 0, cross = 0, upload = 0, delivery = 0;
+  std::vector<double> sent, received;
 
-  const Buffer data = random_buffer(64 * 10, 3);
-  ASSERT_TRUE(dfs.write_file("/f", data, "pentagon", 64).is_ok());
-  double upload_bytes = 0;
-  for (const auto& r : log.drain()) {
-    EXPECT_EQ(r.from, kClientEndpoint);
-    EXPECT_EQ(r.cls, TransferClass::kClientWrite);
-    upload_bytes += r.bytes;
-  }
-  EXPECT_DOUBLE_EQ(upload_bytes, dfs.traffic().client_bytes());
+  explicit CaptureBuckets(std::size_t nodes) : sent(nodes), received(nodes) {}
 
-  const auto read = dfs.read_file("/f");
-  ASSERT_TRUE(read.is_ok());
-  double read_bytes = 0;
-  for (const auto& r : log.drain()) {
-    EXPECT_EQ(r.to, kClientEndpoint);
-    EXPECT_EQ(r.cls, TransferClass::kClientRead);
-    read_bytes += r.bytes;
+  void add(const cluster::Topology& topology, const TransferRecord& r) {
+    EXPECT_NE(r.from, r.to);
+    if (r.from == kClientEndpoint) {
+      upload += r.bytes;
+    } else if (r.to == kClientEndpoint) {
+      delivery += r.bytes;
+    } else {
+      (topology.same_rack(r.from, r.to) ? intra : cross) += r.bytes;
+    }
+    if (r.from != kClientEndpoint) {
+      sent[static_cast<std::size_t>(r.from)] += r.bytes;
+    }
+    if (r.to != kClientEndpoint) {
+      received[static_cast<std::size_t>(r.to)] += r.bytes;
+    }
   }
-  EXPECT_DOUBLE_EQ(read_bytes + upload_bytes, dfs.traffic().client_bytes());
+};
 
-  // Repair traffic captures as node-to-node kRepair records whose byte sum
-  // matches the meter's node-to-node delta.
-  const double node_bytes_before =
-      dfs.traffic().intra_rack_bytes() + dfs.traffic().cross_rack_bytes();
-  ASSERT_TRUE(dfs.fail_node(dfs.catalog().node_of({0, 0})).is_ok());
-  ASSERT_TRUE(dfs.repair_all().is_ok());
-  double repair_bytes = 0;
-  for (const auto& r : log.drain()) {
-    if (!is_repair_class(r.cls)) continue;
-    EXPECT_NE(r.from, kClientEndpoint);
-    EXPECT_NE(r.to, kClientEndpoint);
-    repair_bytes += r.bytes;
+TEST(TrafficCapture, MatchesTheMeterOnEveryPath) {
+  struct Layout {
+    cluster::PlacementPolicy placement;
+    std::size_t racks;
+  };
+  const Layout layouts[] = {{cluster::PlacementPolicy::kFlat, 1},
+                            {cluster::PlacementPolicy::kGroupPerRack, 3},
+                            {cluster::PlacementPolicy::kGroupPerRack, 5}};
+  constexpr std::size_t kBlock = 64;  // divisible by every scheme's alpha
+  for (const char* spec : {"3-rep", "pentagon", "heptagon", "heptagon-local",
+                           "raidm-9", "rs-10-4", "clay-6-4", "pgy-10-4"}) {
+    for (const Layout& layout : layouts) {
+      for (const bool layered : {false, true}) {
+        SCOPED_TRACE(std::string(spec) + " " +
+                     cluster::to_string(layout.placement) + " racks=" +
+                     std::to_string(layout.racks) +
+                     (layered ? " layered" : ""));
+        const cluster::Topology topology = small_topology(30, layout.racks);
+        TransferLog log;
+        hdfs::MiniDfsOptions options;
+        options.placement = layout.placement;
+        options.layered_repair = layered;
+        options.transfer_log = &log;
+        hdfs::MiniDfs dfs(topology, 7, /*pool=*/nullptr, options);
+        CaptureBuckets captured(topology.num_nodes);
+
+        const std::size_t k = ec::make_code(spec).value()->data_blocks();
+        const Buffer data = random_buffer(2 * k * kBlock, 3);
+        ASSERT_TRUE(dfs.write_file("/f", data, spec, kBlock).is_ok());
+        for (const auto& r : log.drain()) {
+          EXPECT_EQ(r.from, kClientEndpoint);
+          EXPECT_EQ(r.cls, TransferClass::kClientWrite);
+          captured.add(topology, r);
+        }
+
+        // Two nodes of the first stripe's group fail together, then every
+        // block is read: lost ones are served degraded.
+        const auto& group =
+            dfs.catalog().stripe(dfs.stat("/f")->stripes.front()).group;
+        ASSERT_TRUE(dfs.fail_node(group[0]).is_ok());
+        ASSERT_TRUE(dfs.fail_node(group[1]).is_ok());
+        for (std::size_t b = 0; b < 2 * k; ++b) {
+          const auto block = dfs.read_block("/f", b);
+          ASSERT_TRUE(block.is_ok()) << block.status().to_string();
+          EXPECT_TRUE(std::equal(block->begin(), block->end(),
+                                 data.begin() + static_cast<std::ptrdiff_t>(
+                                                    b * kBlock)));
+        }
+        for (const auto& r : log.drain()) {
+          EXPECT_EQ(r.cls, TransferClass::kClientRead);
+          EXPECT_NE(r.from, kClientEndpoint);
+          captured.add(topology, r);
+        }
+
+        ASSERT_TRUE(dfs.repair_all().is_ok());
+        for (const auto& r : log.drain()) {
+          EXPECT_EQ(r.cls, TransferClass::kRepair);
+          EXPECT_NE(r.from, kClientEndpoint);
+          EXPECT_NE(r.to, kClientEndpoint);
+          captured.add(topology, r);
+        }
+        ASSERT_TRUE(dfs.scrub().is_ok());
+
+        const TrafficMeter& meter = dfs.traffic();
+        EXPECT_EQ(captured.intra, meter.intra_rack_bytes());
+        EXPECT_EQ(captured.cross, meter.cross_rack_bytes());
+        EXPECT_EQ(captured.upload, meter.client_upload_bytes());
+        EXPECT_EQ(captured.delivery, meter.client_delivery_bytes());
+        EXPECT_GT(captured.intra + captured.cross, 0.0);  // repair moved
+        for (std::size_t n = 0; n < topology.num_nodes; ++n) {
+          const auto node = static_cast<cluster::NodeId>(n);
+          EXPECT_EQ(captured.sent[n], meter.node_sent_bytes(node));
+          EXPECT_EQ(captured.received[n], meter.node_received_bytes(node));
+        }
+      }
+    }
   }
-  const double node_bytes_after =
-      dfs.traffic().intra_rack_bytes() + dfs.traffic().cross_rack_bytes();
-  EXPECT_DOUBLE_EQ(repair_bytes, node_bytes_after - node_bytes_before);
 }
 
-TEST(MiniDfsShim, CaptureDoesNotPerturbTheDataPlane) {
-  // Identical seeds with and without the shim: stored bytes and traffic
+TEST(TrafficCapture, DoesNotPerturbTheDataPlane) {
+  // Identical seeds with and without a capture: stored bytes and traffic
   // totals must agree exactly (capture is observation, not behavior).
   cluster::Topology topology;
   topology.num_nodes = 12;
@@ -351,15 +546,15 @@ TEST(MiniDfsShim, CaptureDoesNotPerturbTheDataPlane) {
   TransferLog log;
   hdfs::MiniDfsOptions options;
   options.transfer_log = &log;
-  hdfs::MiniDfs shimmed(topology, 7, nullptr, options);
+  hdfs::MiniDfs captured(topology, 7, nullptr, options);
 
-  for (hdfs::MiniDfs* dfs : {&plain, &shimmed}) {
+  for (hdfs::MiniDfs* dfs : {&plain, &captured}) {
     ASSERT_TRUE(dfs->write_file("/f", data, "heptagon", 64).is_ok());
     ASSERT_TRUE(dfs->read_file("/f").is_ok());
   }
-  EXPECT_EQ(plain.stored_bytes(), shimmed.stored_bytes());
+  EXPECT_EQ(plain.stored_bytes(), captured.stored_bytes());
   EXPECT_DOUBLE_EQ(plain.traffic().total_bytes(),
-                   shimmed.traffic().total_bytes());
+                   captured.traffic().total_bytes());
 }
 
 }  // namespace
