@@ -2,7 +2,7 @@
 // pentagon code (HDFS-RAID style), survive failures, repair, scrub --
 // the workflow the paper's system implements inside Hadoop.
 //
-// Build & run:  ./build/examples/raid_lifecycle
+// Build & run:  ./build/example_raid_lifecycle
 #include <iostream>
 
 #include "cluster/topology.h"
@@ -19,7 +19,11 @@ int main() {
 
   // 1. Ingest hot data as 3-rep (2 pentagon stripes worth).
   const Buffer data = random_buffer(kBlock * 18, 5);
-  (void)dfs.write_file("/logs/day1", data, "3-rep", kBlock);
+  const Status written = dfs.write_file("/logs/day1", data, "3-rep", kBlock);
+  if (!written.is_ok()) {
+    std::cerr << "write failed: " << written.to_string() << "\n";
+    return 1;
+  }
   std::cout << "ingested " << data.size() << " bytes as 3-rep; stored bytes: "
             << dfs.stored_bytes() << " (overhead "
             << static_cast<double>(dfs.stored_bytes()) / data.size()
@@ -53,8 +57,8 @@ int main() {
   // 4. Scrub proves every replica and parity is consistent again.
   std::cout << "scrub: " << dfs.scrub().to_string() << "\n";
   const auto read_back = dfs.read_file("/logs/day1");
+  const bool intact = read_back.is_ok() && *read_back == data;
   std::cout << "data intact after the whole lifecycle? "
-            << (read_back.is_ok() && *read_back == data ? "yes" : "no")
-            << "\n";
-  return 0;
+            << (intact ? "yes" : "no") << "\n";
+  return intact ? 0 : 1;
 }

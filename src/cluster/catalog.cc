@@ -31,17 +31,7 @@ Status BlockCatalog::register_locked(StripeId id, const ec::CodeScheme& code,
         code.layout().node_of_slot(slot))];
     node_slots_[node].insert({id, slot});
   }
-  next_id_ = std::max(next_id_, id + 1);
   return Status::ok();
-}
-
-Result<StripeId> BlockCatalog::register_stripe(const ec::CodeScheme& code,
-                                               std::vector<NodeId> group,
-                                               bool sealed) {
-  std::unique_lock<std::shared_mutex> lock(mu_);
-  const StripeId id = next_id_;
-  DBLREP_RETURN_IF_ERROR(register_locked(id, code, std::move(group), sealed));
-  return id;
 }
 
 Status BlockCatalog::register_stripe_at(StripeId id,
@@ -199,19 +189,6 @@ std::vector<SlotAddress> BlockCatalog::slots_on_node(NodeId node) const {
   const auto it = node_slots_.find(node);
   if (it == node_slots_.end()) return {};
   return {it->second.begin(), it->second.end()};
-}
-
-std::set<ec::NodeIndex> BlockCatalog::failed_in_stripe(
-    StripeId id, const std::set<NodeId>& down_nodes) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  const StripeInfo& info = stripe_unlocked(id);
-  std::set<ec::NodeIndex> failed;
-  for (std::size_t i = 0; i < info.group.size(); ++i) {
-    if (down_nodes.contains(info.group[i])) {
-      failed.insert(static_cast<ec::NodeIndex>(i));
-    }
-  }
-  return failed;
 }
 
 std::vector<StripeId> BlockCatalog::stripes_on_node(NodeId node) const {

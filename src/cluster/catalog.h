@@ -3,14 +3,14 @@
 // The catalog is the NameNode's structural view (no bytes): every stripe
 // registered here carries its code scheme and a placement group mapping
 // code-local node indices to cluster nodes. The HDFS layer stores the
-// actual block payloads; the repair engine and the MapReduce simulator
-// both consult the catalog for replica locations.
+// actual block payloads; its read, repair and scrub paths consult the
+// catalog (through the NameNode) for replica locations. The MapReduce and
+// scheduling simulators model placement on their own and never touch it.
 //
-// Stripe ids come from two sources: register_stripe draws from an internal
-// counter (standalone use: one catalog, ids 0, 1, 2, ...), while
-// register_stripe_at takes an explicit id -- the sharded NameNode assigns
-// ids from one global counter so a stripe's id is independent of which
-// metadata shard's catalog records it (and therefore of the shard count).
+// Stripe ids are assigned by the caller (register_stripe_at): the sharded
+// NameNode draws them from one global counter, so a stripe's id is
+// independent of which metadata shard's catalog records it (and therefore
+// of the shard count).
 //
 // Thread-safe: all methods synchronize on an internal shared mutex, and
 // stripe records live in a node-based map so the references stripe() hands
@@ -61,16 +61,11 @@ class BlockCatalog {
   explicit BlockCatalog(const Topology& topology) : topology_(&topology) {}
 
   /// Registers a stripe placed on `group` (one cluster node per code node,
-  /// all distinct). Returns its id, drawn from the internal counter. Pass
-  /// sealed=false for a stripe whose bytes are still being written, then
-  /// seal_stripe() when they land.
-  Result<StripeId> register_stripe(const ec::CodeScheme& code,
-                                   std::vector<NodeId> group,
-                                   bool sealed = true);
-
-  /// Registers a stripe under a caller-assigned id (the sharded NameNode's
+  /// all distinct) under a caller-assigned id (the sharded NameNode's
   /// global id space, and snapshot/journal replay). The id must not be in
-  /// use -- live or tombstoned -- in this catalog.
+  /// use -- live or tombstoned -- in this catalog. Pass sealed=false for a
+  /// stripe whose bytes are still being written, then seal_stripe() when
+  /// they land.
   Status register_stripe_at(StripeId id, const ec::CodeScheme& code,
                             std::vector<NodeId> group, bool sealed);
 
@@ -112,10 +107,6 @@ class BlockCatalog {
   /// concurrent registration.
   std::vector<SlotAddress> slots_on_node(NodeId node) const;
 
-  /// Code-local failed set for a stripe, given cluster-level down nodes.
-  std::set<ec::NodeIndex> failed_in_stripe(
-      StripeId id, const std::set<NodeId>& down_nodes) const;
-
   /// Stripes that have at least one slot on `node`, ascending.
   std::vector<StripeId> stripes_on_node(NodeId node) const;
 
@@ -130,7 +121,6 @@ class BlockCatalog {
   /// Live stripes and tombstones (code == nullptr); node-based map so
   /// references stay stable across registration, ids stable forever.
   std::map<StripeId, StripeInfo> stripes_;
-  StripeId next_id_ = 0;  // register_stripe draws; register_stripe_at bumps
   /// Ordered per-node slot sets: enumeration order is (stripe, slot) --
   /// identical to registration order in the single-catalog case (ids are
   /// assigned monotonically) and deterministic under sharding.

@@ -1,8 +1,8 @@
 // exec::Future / exec::Promise: one-shot value channels composed on the
 // ThreadPool, the async layer of the client data plane.
 //
-// ThreadPool::async() hands back a std::future, which is enough for
-// fire-and-wait but awkward for the client API: std::future has no cheap
+// This is the pool's only result channel. std::future would do for
+// fire-and-wait but is awkward for the client API: it has no cheap
 // ready() probe (wait_for with a zero timeout allocates a clock read and
 // throws on no-state), and a handle-based writer wants to park hundreds of
 // in-flight stripe stores in a deque and poll/drain them in dispatch

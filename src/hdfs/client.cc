@@ -41,9 +41,6 @@ FileWriter::FileWriter(FileWriter&& other) noexcept
       appended_(other.appended_),
       stats_(other.stats_),
       open_(other.open_) {
-  // views_inflight_ is always false between calls (append drains its
-  // zero-copy stores before returning), so there is no borrowed span to
-  // hand over.
   other.open_ = false;
   other.inflight_.clear();
 }
@@ -62,20 +59,16 @@ void FileWriter::drain(std::size_t allow) {
   }
 }
 
-Result<cluster::StripeId> FileWriter::prepare_dispatch() {
+Status FileWriter::dispatch(Buffer stripe_data) {
   // Bound the pipeline (and with it ingest memory): wait for the oldest
   // store before adding another.
   drain(max_inflight_ - 1);
   if (!deferred_.is_ok()) return deferred_;
-
   auto stripe_id = dfs_->allocate_stripe(path_);
-  if (!stripe_id.is_ok()) deferred_ = stripe_id.status();
-  return stripe_id;
-}
-
-Status FileWriter::dispatch(Buffer stripe_data) {
-  auto stripe_id = prepare_dispatch();
-  if (!stripe_id.is_ok()) return deferred_;
+  if (!stripe_id.is_ok()) {
+    deferred_ = stripe_id.status();
+    return deferred_;
+  }
   MiniDfs* dfs = dfs_;
   const std::string path = path_;
   const cluster::StripeId stripe = *stripe_id;
@@ -87,48 +80,19 @@ Status FileWriter::dispatch(Buffer stripe_data) {
   return Status::ok();
 }
 
-Status FileWriter::dispatch_view(ByteSpan stripe_data) {
-  auto stripe_id = prepare_dispatch();
-  if (!stripe_id.is_ok()) return deferred_;
-  // Zero-copy: the store task encodes straight out of the caller's span
-  // (the codec's systematic symbols are views into it), so append() must
-  // drain this store before returning control to the caller.
-  MiniDfs* dfs = dfs_;
-  const std::string path = path_;
-  const cluster::StripeId stripe = *stripe_id;
-  const net::TransferClass cls = write_class_;
-  inflight_.push_back(
-      exec::spawn(dfs_->pool(), [dfs, path, stripe, cls, stripe_data] {
-        return dfs->store_stripe(path, stripe, stripe_data, cls);
-      }));
-  views_inflight_ = true;
-  return Status::ok();
-}
-
 Status FileWriter::append(ByteSpan data) {
   if (!open_) {
     return failed_precondition_error("append on closed writer for " + path_);
   }
   if (!deferred_.is_ok()) return deferred_;
-  append_impl(data);
-  if (views_inflight_) {
-    // Zero-copy stores borrow `data`; finish them before the caller
-    // reclaims the span. (Owned-buffer stores keep pipelining across
-    // appends; only span-borrowing ones force this barrier.)
-    drain(0);
-    views_inflight_ = false;
-  }
-  return deferred_;
-}
-
-void FileWriter::append_impl(ByteSpan data) {
   // Ragged bytes are copied exactly once, into the pre-reserved sub-stripe
-  // buffer; stripe-aligned runs of the span skip even that and are encoded
-  // zero-copy by dispatch_view. buffer_ holds strictly less than one
-  // stripe between calls: top it up first, then dispatch full stripes
-  // straight from the span, then stash the sub-stripe tail. appended_
-  // counts only accepted bytes -- a failed dispatch returns early and its
-  // stripe (and the span's unconsumed tail) never count.
+  // buffer; the stripe-aligned middle of the span skips even that and is
+  // stored zero-copy through MiniDfs::store_stripes. buffer_ holds
+  // strictly less than one stripe between calls: top it up first, then
+  // store the full stripes straight from the span, then stash the
+  // sub-stripe tail. appended_ counts only accepted bytes -- a failed
+  // dispatch or store returns early and its stripes (and the span's
+  // unconsumed tail) never count.
   std::size_t pos = 0;
   if (!buffer_.empty()) {
     const std::size_t take =
@@ -141,14 +105,27 @@ void FileWriter::append_impl(ByteSpan data) {
     if (buffer_.size() == stripe_bytes_) {
       Buffer stripe = std::move(buffer_);
       buffer_ = Buffer();
-      if (!dispatch(std::move(stripe)).is_ok()) return;
+      DBLREP_RETURN_IF_ERROR(dispatch(std::move(stripe)));
     }
   }
-  while (data.size() - pos >= stripe_bytes_) {
-    if (!dispatch_view(data.subspan(pos, stripe_bytes_)).is_ok()) return;
-    pos += stripe_bytes_;
-    appended_ += stripe_bytes_;
-    stats_.zero_copy_bytes += stripe_bytes_;
+  const std::size_t aligned =
+      (data.size() - pos) / stripe_bytes_ * stripe_bytes_;
+  if (aligned > 0) {
+    // Stored synchronously, so nothing borrows the span once append
+    // returns. The owned stores in flight finish first, which keeps the
+    // recorded error the lowest-stripe one.
+    drain(0);
+    if (!deferred_.is_ok()) return deferred_;
+    auto stripes = dfs_->allocate_stripes(path_, aligned / stripe_bytes_);
+    deferred_ = stripes.is_ok()
+                    ? dfs_->store_stripes(path_, *stripes,
+                                          data.subspan(pos, aligned),
+                                          write_class_)
+                    : stripes.status();
+    if (!deferred_.is_ok()) return deferred_;
+    pos += aligned;
+    appended_ += aligned;
+    stats_.zero_copy_bytes += aligned;
   }
   const std::size_t tail = data.size() - pos;
   if (tail > 0) {
@@ -163,6 +140,7 @@ void FileWriter::append_impl(ByteSpan data) {
     appended_ += tail;
     stats_.buffered_bytes += tail;
   }
+  return deferred_;
 }
 
 Status FileWriter::finish(bool commit) {

@@ -11,15 +11,17 @@
 //    (placement draws stay deterministic in append order) and then encoded
 //    + stored asynchronously on the DFS pool, with a bounded number of
 //    stripes in flight -- so multi-call ingest pipelines and a file larger
-//    than memory streams through a fixed-size window. Stripe-aligned spans
-//    take a zero-copy fast path: full stripes are encoded straight from
-//    the caller's memory (the codec's systematic symbols are views into
-//    it) instead of being staged through the writer's buffer; append then
-//    waits for those stores before returning, since the caller reclaims
-//    the span. Only ragged heads/tails are copied into the (pre-reserved)
-//    sub-stripe buffer. close() flushes the zero-padded tail, waits for
-//    the pipeline, and publishes the path (readers see nothing earlier);
-//    any failure rolls the whole file back.
+//    than memory streams through a fixed-size window. The stripe-aligned
+//    middle of a span takes a zero-copy path instead of the writer's
+//    buffer: append first waits for its stores in flight, then allocates
+//    the whole run at once and stores it synchronously through
+//    MiniDfs::store_stripes -- write_file's own core, so the run gets the
+//    same fused encode and pool fan-out, the codec's systematic symbols
+//    are views into the caller's memory, and nothing borrows the span
+//    once append returns. Only ragged heads/tails are copied into the
+//    (pre-reserved) sub-stripe buffer. close() flushes the zero-padded
+//    tail, waits for the pipeline, and publishes the path (readers see
+//    nothing earlier); any failure rolls the whole file back.
 //  * pread(path, offset, len) -- byte-range reads resolving only the
 //    stripes covering the range, with per-block degraded-read fallback.
 //  * *_async variants -- the same operations returning exec::Future,
@@ -29,8 +31,8 @@
 // A Client is a cheap stateless facade over a MiniDfs and is safe to share
 // or recreate freely; a FileWriter handle is single-owner and not
 // thread-safe (one writer per path by construction -- begin_write reserves
-// the name). MiniDfs::write_file / read_file remain as thin wrappers over
-// the same primitives.
+// the name). MiniDfs::write_file / read_file run the same transaction and
+// range read in one call.
 #pragma once
 
 #include <cstddef>
@@ -80,13 +82,13 @@ class FileWriter {
   FileWriter& operator=(const FileWriter&) = delete;
   ~FileWriter();
 
-  /// Appends logical bytes. Completed stripes are dispatched to the pool;
-  /// the call blocks only when max_inflight_stripes stores are already in
-  /// flight -- except that full stripes taken zero-copy from `data` must
-  /// finish before append returns (the caller may reuse the span
-  /// immediately after). After any failure the writer is poisoned: the
-  /// first error (in stripe order -- independent of pool scheduling) is
-  /// returned from every subsequent append/close.
+  /// Appends logical bytes. A stripe completed in the buffer is
+  /// dispatched to the pool; the call blocks on it only when
+  /// max_inflight_stripes stores are already in flight. Full stripes
+  /// taken zero-copy from `data` are stored before append returns (the
+  /// caller may reuse the span immediately after). After any failure the
+  /// writer is poisoned: the first error (in stripe order -- independent
+  /// of pool scheduling) is returned from every subsequent append/close.
   Status append(ByteSpan data);
 
   /// Flushes the partial tail stripe, waits for every in-flight store,
@@ -112,22 +114,11 @@ class FileWriter {
   FileWriter(MiniDfs* dfs, std::string path, std::size_t stripe_bytes,
              std::size_t max_inflight, net::TransferClass write_class);
 
-  /// append() body; leaves zero-copy stores in flight (views_inflight_)
-  /// for append() to drain before the caller reclaims its span.
-  void append_impl(ByteSpan data);
-
-  /// Allocates a stripe (serially, on this thread) and spawns its encode +
-  /// store on the pool, first draining to keep the pipeline bounded. The
-  /// owning overload moves the stripe bytes into the store task; the view
-  /// overload encodes straight from `stripe_data`, which must stay valid
-  /// until the store is drained.
+  /// Drains the window down to one free slot, allocates the next stripe
+  /// (serially, on this thread) and spawns its encode + store on the
+  /// pool, the task owning `stripe_data`. Failures land in deferred_ and
+  /// are returned.
   Status dispatch(Buffer stripe_data);
-  Status dispatch_view(ByteSpan stripe_data);
-
-  /// Shared dispatch prologue: drains the window down to one free slot and
-  /// allocates the next stripe id (serially, in append order). Failures
-  /// land in deferred_ and are returned as an error status.
-  Result<cluster::StripeId> prepare_dispatch();
 
   /// Waits for in-flight stores (front first, i.e. stripe order) until at
   /// most `allow` remain; records the first failure in deferred_.
@@ -146,7 +137,6 @@ class FileWriter {
   Status deferred_;  // first failure; poisons the writer
   std::size_t appended_ = 0;
   WriterStats stats_;
-  bool views_inflight_ = false;  // zero-copy stores borrow a caller span
   bool open_ = false;
 };
 

@@ -180,63 +180,77 @@ Result<cluster::StripeId> MiniDfs::allocate_stripe(const std::string& path) {
   return stripes->front();
 }
 
-Status MiniDfs::store_stripe_batch(SchemeRuntime& rt, std::size_t block_size,
-                                   std::span<const cluster::StripeId> stripes,
-                                   ByteSpan data, net::TransferClass cls) {
-  const ec::CodeScheme& code = *rt.code;
-  const std::size_t stripe_bytes = code.data_blocks() * block_size;
-  if (data.empty() ||
-      (data.size() + stripe_bytes - 1) / stripe_bytes != stripes.size()) {
-    return invalid_argument_error(
-        "stripe data must be non-empty and span exactly the given stripes");
-  }
-  // One codec lease for the whole range: encode_batch fuses the parity
-  // passes of up to StripeCodec::kMaxBatchStripes stripes into single
-  // coefficient-block walks; systematic symbols are zero-copy views into
-  // `data`, parities come out of the leased codec's arena, and the sink
-  // below persists each stripe's symbols before the next batch recycles
-  // it. The sink's stripe index is relative to `data`, so stripes[s] maps
-  // it back to the allocated id. Stripes stay *unsealed* until
-  // commit_write: sealing here would expose them to concurrent
-  // repair/scrub passes while the transaction can still abort, and
-  // abort_write unregistering a stripe a repair is persisting is exactly
-  // the dangling-reference race the seal flag exists to prevent.
-  auto lease = rt.runtimes->acquire();
-  const auto& layout = code.layout();
-  return lease->codec.encode_batch(
-      data, block_size,
-      [&](std::size_t s, std::span<const ByteSpan> symbols) -> Status {
-        const cluster::StripeId stripe = stripes[s];
-        for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
-          const ByteSpan symbol = symbols[layout.symbol_of_slot(slot)];
-          const cluster::NodeId node = namenode_.node_of({stripe, slot});
-          DBLREP_RETURN_IF_ERROR(
-              datanodes_[static_cast<std::size_t>(node)].put({stripe, slot},
-                                                            symbol));
-          // Client -> datanode transfer (the client is off-cluster),
-          // charged at the slot payload size: a full block for α == 1, one
-          // sub-chunk for sub-packetized schemes.
-          traffic_.record(net::kClientEndpoint, node, symbol.size(), cls);
-        }
-        return Status::ok();
-      });
-}
-
-Status MiniDfs::store_stripe(const std::string& path,
-                             cluster::StripeId stripe, ByteSpan stripe_data,
-                             net::TransferClass cls) {
+Status MiniDfs::store_stripes(const std::string& path,
+                              std::span<const cluster::StripeId> stripes,
+                              ByteSpan data, net::TransferClass cls) {
   const auto open = namenode_.stat(path);
   if (!open.is_ok() || open->sealed) {
     return failed_precondition_error("no write transaction open for " + path);
   }
   auto rt_result = runtime(open->code_spec);
   if (!rt_result.is_ok()) return rt_result.status();
-  DBLREP_RETURN_IF_ERROR(store_stripe_batch(
-      **rt_result, open->block_size,
-      std::span<const cluster::StripeId>(&stripe, 1), stripe_data, cls));
+  SchemeRuntime& rt = **rt_result;
+  const ec::CodeScheme& code = *rt.code;
+  const std::size_t block_size = open->block_size;
+  const std::size_t stripe_bytes = code.data_blocks() * block_size;
+  if (data.empty() ||
+      (data.size() + stripe_bytes - 1) / stripe_bytes != stripes.size()) {
+    return invalid_argument_error(
+        "stripe data must be non-empty and span exactly the given stripes");
+  }
 
-  // Progress accounting (journaled) for stat() of the open write.
-  return namenode_.record_store(path, stripe, stripe_data.size());
+  // Each pool task owns a contiguous run of batch_stripes() stripes and
+  // one codec lease, so encode_batch can fuse the run's parity passes into
+  // single coefficient-block walks. Systematic symbols are zero-copy views
+  // into `data`, parities come out of the leased codec's arena, and the
+  // sink persists each stripe's symbols before the next batch recycles
+  // it. parallel_for_all runs every task even after a failure and reports
+  // the lowest-indexed one; encode_batch stops at the first failing stripe
+  // of its run, so the reported stripe is the lowest failing one whatever
+  // the pool scheduling. Stripes stay *unsealed* until commit_write:
+  // sealing here would expose them to concurrent repair/scrub passes while
+  // the transaction can still abort, and abort_write unregistering a
+  // stripe a repair is persisting is exactly the dangling-reference race
+  // the seal flag exists to prevent.
+  const auto& layout = code.layout();
+  const std::size_t batch = ec::StripeCodec(code).batch_stripes(block_size);
+  const std::size_t num_batches = (stripes.size() + batch - 1) / batch;
+  DBLREP_RETURN_IF_ERROR(exec::parallel_for_all(
+      *pool_, num_batches, [&](std::size_t b) -> Status {
+        const std::size_t first = b * batch;
+        const std::size_t begin = first * stripe_bytes;
+        const std::size_t len =
+            std::min(batch * stripe_bytes, data.size() - begin);
+        auto lease = rt.runtimes->acquire();
+        return lease->codec.encode_batch(
+            data.subspan(begin, len), block_size,
+            [&](std::size_t s, std::span<const ByteSpan> symbols) -> Status {
+              const cluster::StripeId stripe = stripes[first + s];
+              for (std::size_t slot = 0; slot < layout.num_slots(); ++slot) {
+                const ByteSpan symbol = symbols[layout.symbol_of_slot(slot)];
+                const cluster::NodeId node = namenode_.node_of({stripe, slot});
+                DBLREP_RETURN_IF_ERROR(
+                    datanodes_[static_cast<std::size_t>(node)].put(
+                        {stripe, slot}, symbol));
+                // Client -> datanode transfer (the client is off-cluster),
+                // charged at the slot payload size: a full block for
+                // α == 1, one sub-chunk for sub-packetized schemes.
+                traffic_.record(net::kClientEndpoint, node, symbol.size(),
+                                cls);
+              }
+              return Status::ok();
+            });
+      }));
+
+  // One journaled progress record per call, for stat() of the open write.
+  return namenode_.record_store(path, stripes.front(), data.size());
+}
+
+Status MiniDfs::store_stripe(const std::string& path,
+                             cluster::StripeId stripe, ByteSpan stripe_data,
+                             net::TransferClass cls) {
+  return store_stripes(path, std::span<const cluster::StripeId>(&stripe, 1),
+                       stripe_data, cls);
 }
 
 Status MiniDfs::commit_write(const std::string& path) {
@@ -280,11 +294,9 @@ Status MiniDfs::drop_blocks(const RemovedFile& removed) {
 Status MiniDfs::write_file(const std::string& path, ByteSpan data,
                            const std::string& code_spec,
                            std::size_t block_size) {
-  // Thin wrapper over the write transaction: allocate every stripe up
-  // front (serial draws), then encode + store them fanned out across the
-  // pool, zero-copy from `data`. parallel_for_all: on failure every stripe
-  // still runs (then abort_write drops them all), so the returned status
-  // -- lowest failing stripe -- does not depend on pool scheduling.
+  // The write transaction in one call: allocate every stripe up front
+  // (serial draws), then encode + store them all through store_stripes,
+  // zero-copy from `data` and fanned out across the pool.
   DBLREP_RETURN_IF_ERROR(begin_write(path, code_spec, block_size));
   // RAII rollback: every exit below -- error returns and stack unwinding
   // alike -- releases the path reservation and drops landed stripes,
@@ -299,45 +311,15 @@ Status MiniDfs::write_file(const std::string& path, ByteSpan data,
     }
   } guard{this, path};
 
-  auto rt_result = runtime(code_spec);
-  if (!rt_result.is_ok()) return rt_result.status();
-  SchemeRuntime& rt = **rt_result;
-  const std::size_t stripe_bytes = rt.code->data_blocks() * block_size;
-  const std::size_t num_stripes =
-      data.empty() ? 0 : (data.size() + stripe_bytes - 1) / stripe_bytes;
-
-  auto stripes = allocate_stripes(path, num_stripes);
+  auto code = scheme(code_spec);
+  if (!code.is_ok()) return code.status();
+  const std::size_t stripe_bytes = (*code)->data_blocks() * block_size;
+  auto stripes =
+      allocate_stripes(path, (data.size() + stripe_bytes - 1) / stripe_bytes);
   if (!stripes.is_ok()) return stripes.status();
-
-  // The runtime and block size are resolved once for the whole file, and
-  // the length is published once below -- the workers touch no namespace
-  // state, unlike a FileWriter's store_stripe calls (which pay per-stripe
-  // lookups to keep stat() progress live). Each pool task owns a
-  // contiguous run of batch_stripes() stripes so its leased codec can fuse
-  // their parity passes; parallel_for_all still surfaces the
-  // lowest-indexed failure, and store_stripe_batch stops at the first
-  // failing stripe within a run, so the reported stripe stays the lowest
-  // failing one regardless of pool scheduling.
-  const std::size_t batch = ec::StripeCodec(*rt.code).batch_stripes(block_size);
-  const std::size_t num_batches = (num_stripes + batch - 1) / batch;
-  const Status write_status = exec::parallel_for_all(
-      *pool_, num_batches, [&](std::size_t b) -> Status {
-        const std::size_t first = b * batch;
-        const std::size_t count = std::min(batch, num_stripes - first);
-        const std::size_t begin = first * stripe_bytes;
-        const std::size_t len =
-            std::min(count * stripe_bytes, data.size() - begin);
-        return store_stripe_batch(
-            rt, block_size,
-            std::span<const cluster::StripeId>(stripes->data() + first, count),
-            data.subspan(begin, len), net::TransferClass::kClientWrite);
-      });
-  if (!write_status.is_ok()) return write_status;
-  // One journaled length record for the whole file (the batch store path
-  // bypasses the per-stripe record_store that FileWriter handles pay).
   if (!data.empty()) {
-    DBLREP_RETURN_IF_ERROR(
-        namenode_.record_store(path, stripes->front(), data.size()));
+    DBLREP_RETURN_IF_ERROR(store_stripes(path, *stripes, data,
+                                         net::TransferClass::kClientWrite));
   }
   const Status committed = commit_write(path);
   if (committed.is_ok()) guard.armed = false;

@@ -10,9 +10,10 @@
 //    heptagon-local group to its own rack (Section 2.2).
 //  * DataNodes: per-node CRC-checked block stores, each its own lock shard.
 //  * Client operations: a streaming write transaction (begin_write /
-//    allocate_stripe / store_stripe / commit_write / abort_write) that the
-//    handle-based hdfs::Client::FileWriter drives incrementally --
-//    write_file is the bulk wrapper over the same primitives -- plus
+//    allocate_stripe(s) / store_stripe / commit_write / abort_write) that
+//    the handle-based hdfs::FileWriter drives incrementally -- write_file
+//    is the same transaction in one call, and both encode through one
+//    private core, store_stripes -- plus
 //    pread (byte-range reads resolving only the covering stripes),
 //    read_file / read_block (replica read, with corruption fallback and
 //    on-the-fly degraded reads through ec::RepairPlan when every replica
@@ -32,9 +33,9 @@
 //  * Byte-heavy operations -- write_file, read_file, pread, repair_node,
 //    repair_all, scrub_repair -- fan their stripes out across an
 //    exec::ThreadPool, and FileWriter handles dispatch store_stripe calls
-//    onto the same pool; placement stays serial (allocate_stripe draws in
-//    allocation order) so the stripe layout (and therefore every byte and
-//    traffic total) is identical to the zero-worker serial execution.
+//    onto the same pool; placement stays serial (allocate_stripe(s) draws
+//    in allocation order) so the stripe layout (and therefore every byte
+//    and traffic total) is identical to the zero-worker serial execution.
 //  * DataNode stores are per-node lock shards; the namespace is guarded by
 //    a striped per-path shared mutex (concurrent readers, exclusive
 //    delete/rename) plus a map-structure mutex.
@@ -161,16 +162,21 @@ class MiniDfs {
   // ----------------------------------------- streaming write transaction
   //
   // The storage-core half of the handle-based client API (hdfs::Client /
-  // FileWriter compose these; write_file is the bulk wrapper):
+  // FileWriter compose these; write_file runs the whole transaction in one
+  // call):
   //
-  //   begin_write -> { allocate_stripe -> store_stripe }* -> commit_write
+  //   begin_write -> { allocate_stripe(s) -> store_stripe(s) }*
+  //               -> commit_write
   //
   // with abort_write rolling every landed block and registered stripe back
-  // on any failure. The transaction is single-owner: allocate_stripe must
-  // be called from one thread per transaction, in stripe order --
-  // placement draws stay a deterministic function of allocation order --
-  // while store_stripe is safe to run from many threads concurrently for
-  // distinct stripes of the same transaction. commit_write / abort_write
+  // on any failure. Every store goes through the private store_stripes
+  // core: store_stripe is its one-stripe case, write_file and FileWriter's
+  // stripe-aligned appends hand it a whole run of stripes. The transaction
+  // is single-owner: allocate_stripe(s) must be called from one thread per
+  // transaction, in stripe order -- placement draws stay a deterministic
+  // function of allocation order -- while store_stripe is safe to run from
+  // many threads concurrently for distinct stripes of the same
+  // transaction. commit_write / abort_write
   // must not overlap in-flight allocate/store calls of the same
   // transaction: the owner drains its stores first (FileWriter does) --
   // the primitives do not guard against it. Until commit, the path is
@@ -186,8 +192,9 @@ class MiniDfs {
   Result<cluster::StripeId> allocate_stripe(const std::string& path);
 
   /// Batch form: `count` stripes placed under one lock hold and one
-  /// live-node scan -- what the bulk write_file wrapper uses. Draw order
-  /// is identical to `count` single allocations.
+  /// live-node scan, journaled as one record -- what write_file and
+  /// FileWriter's stripe-aligned appends use. Draw order and stripe ids
+  /// are identical to `count` single allocations.
   Result<std::vector<cluster::StripeId>> allocate_stripes(
       const std::string& path, std::size_t count);
 
@@ -196,7 +203,7 @@ class MiniDfs {
   /// upload traffic under `cls` (client write by default; the tiering
   /// re-encode path passes kRetier so its bytes are throttleable like
   /// repair). The stripe stays unsealed -- invisible to repair and scrub --
-  /// until commit_write.
+  /// until commit_write. The one-stripe case of store_stripes.
   Status store_stripe(const std::string& path, cluster::StripeId stripe,
                       ByteSpan stripe_data,
                       net::TransferClass cls = net::TransferClass::kClientWrite);
@@ -213,9 +220,10 @@ class MiniDfs {
   // ------------------------------------------------------------ client
 
   /// Writes `data` as a new file encoded with `code_spec`, striping into
-  /// blocks of `block_size` bytes. Thin wrapper over the write transaction
-  /// above: stripes are placed serially (so layout is deterministic per
-  /// seed) and encoded/stored in parallel, zero-copy from `data`.
+  /// blocks of `block_size` bytes: begin_write -> allocate_stripes ->
+  /// store_stripes -> commit_write, rolled back on any failure. Stripes
+  /// are placed serially (so layout is deterministic per seed) and
+  /// encoded/stored in parallel, zero-copy from `data`.
   Status write_file(const std::string& path, ByteSpan data,
                     const std::string& code_spec, std::size_t block_size);
 
@@ -344,8 +352,10 @@ class MiniDfs {
 
  private:
   /// The client half of the API (handle-based writers, async wrappers)
-  /// composes the transaction primitives and scheme lookups directly.
+  /// composes the transaction primitives, scheme lookups and the
+  /// store_stripes core directly.
   friend class Client;
+  friend class FileWriter;
 
   /// Everything the data plane keeps warm per code spec: the immutable
   /// scheme plus a RuntimePool of per-worker StripeCodec/PlanExecutor
@@ -363,15 +373,19 @@ class MiniDfs {
   Result<const ec::CodeScheme*> scheme(const std::string& code_spec);
   exec::RuntimePool& runtime_pool_for(const ec::CodeScheme& code) const;
 
-  /// Encode + store core of store_stripe and write_file, with the runtime
-  /// and block size already resolved: encodes every stripe covering `data`
-  /// through one leased codec (cross-stripe fused parity passes, see
-  /// StripeCodec::encode_batch), stores stripes[i] from the i-th stripe of
-  /// `data`, and charges the uploads under `cls`. `data` must be non-empty
-  /// and span exactly stripes.size() stripes (INVALID_ARGUMENT otherwise).
-  Status store_stripe_batch(SchemeRuntime& rt, std::size_t block_size,
-                            std::span<const cluster::StripeId> stripes,
-                            ByteSpan data, net::TransferClass cls);
+  /// The one encode + store core of the write transaction: store_stripe,
+  /// write_file and FileWriter's stripe-aligned appends all land here.
+  /// Stores stripes[i] from the i-th stripe of `data` (the last one may be
+  /// short and is zero-padded), fanning runs of batch_stripes() stripes
+  /// out across the pool -- one fused StripeCodec::encode_batch per run,
+  /// the calling thread working too -- and charges every slot's upload
+  /// under `cls`. The first error is the lowest failing stripe's. Writes
+  /// one journaled record_store for the whole call. `data` must be
+  /// non-empty and span exactly stripes.size() stripes (INVALID_ARGUMENT
+  /// otherwise).
+  Status store_stripes(const std::string& path,
+                       std::span<const cluster::StripeId> stripes,
+                       ByteSpan data, net::TransferClass cls);
 
   /// Drops every block the removed file's stripes left on the datanodes:
   /// the data-plane half of abort_write, delete_file and replace_file,

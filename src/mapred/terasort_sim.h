@@ -24,6 +24,16 @@
 //
 // Absolute seconds depend on service-time calibration (documented in
 // docs/paper_map.md); the cross-code comparisons do not.
+//
+// Why this keeps its own fluid processor-sharing model instead of running
+// on net::NetworkModel: the job-time differences the paper reports in
+// Section 4 come from *disks*. A polygon code puts several blocks of one
+// stripe on each node, so the map tasks reading them share that node's
+// disk, and a remote fetch slows the serving node's local readers too.
+// Here every reader of a disk gets an equal share of it at every instant.
+// net::NetworkModel has per-hop FIFO store-and-forward links and no
+// disks, so it cannot express that contention; moving onto it would drop
+// the very slowdown the figures measure.
 #pragma once
 
 #include <set>

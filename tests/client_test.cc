@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -16,6 +17,7 @@
 #include "ec/registry.h"
 #include "exec/thread_pool.h"
 #include "hdfs/client.h"
+#include "hdfs/journal.h"
 #include "hdfs/minidfs.h"
 #include "hdfs/workload_driver.h"
 
@@ -198,6 +200,128 @@ TEST(FileWriter, RaggedAppendsAccountToBufferedBytes) {
   const auto read = dfs.read_file("/ragged");
   ASSERT_TRUE(read.is_ok());
   EXPECT_EQ(*read, data);
+}
+
+/// Everything a write leaves behind that the shared store core decides:
+/// the metadata fingerprint, every stored block's bytes, the four traffic
+/// buckets, and the kStore records journaled for the path.
+struct WriteImage {
+  std::uint64_t fingerprint = 0;
+  std::map<std::pair<cluster::NodeId, cluster::SlotAddress>, Buffer> blocks;
+  std::vector<double> traffic;
+  std::size_t store_records = 0;
+
+  bool operator==(const WriteImage&) const = default;
+};
+
+WriteImage image_of(const MiniDfs& dfs, const std::string& path) {
+  WriteImage image;
+  image.fingerprint = dfs.catalog_fingerprint();
+  for (std::size_t n = 0; n < dfs.topology().num_nodes; ++n) {
+    const DataNode& dn = dfs.datanode(static_cast<cluster::NodeId>(n));
+    for (const auto& address : dn.stored_addresses()) {
+      image.blocks.emplace(std::make_pair(dn.id(), address),
+                           dn.peek(address).value());
+    }
+  }
+  const auto& traffic = dfs.traffic();
+  image.traffic = {traffic.intra_rack_bytes(), traffic.cross_rack_bytes(),
+                   traffic.client_upload_bytes(),
+                   traffic.client_delivery_bytes()};
+  for (std::size_t shard = 0; shard < dfs.namenode().num_shards(); ++shard) {
+    const Buffer bytes = dfs.namenode().journal_bytes(shard);
+    for (const auto& rec : parse_journal(bytes).records) {
+      if (rec.kind == JournalRecordKind::kStore && rec.path == path) {
+        ++image.store_records;
+      }
+    }
+  }
+  return image;
+}
+
+TEST(FileWriter, AlignedAppendSharesWriteFileCore) {
+  // One stripe-aligned append of a whole file and write_file both run
+  // allocate_stripes + store_stripes, so on the inline pool and on a
+  // 4-worker pool they must leave identical metadata, blocks, traffic and
+  // journal. 128 KiB pentagon blocks make 1.125 MiB stripes, so the 7
+  // stripes split into fused encode runs of 3, 3 and 1; the 64-byte
+  // rs-10-4 case is one run.
+  struct Case {
+    const char* spec;
+    std::size_t block_size;
+    std::size_t stripes;
+  };
+  for (const Case& c : {Case{"pentagon", 128 * 1024, 7},
+                        Case{"rs-10-4", kBlockSize, 5}}) {
+    const std::size_t stripe_bytes = data_blocks(c.spec) * c.block_size;
+    const Buffer data = payload(c.stripes * stripe_bytes, 21);
+    std::vector<WriteImage> images;
+    for (const std::size_t workers : {0u, 4u}) {
+      exec::ThreadPool pool(workers);
+      MiniDfs bulk = make_dfs(25, 7, &pool);
+      ASSERT_TRUE(bulk.write_file("/f", data, c.spec, c.block_size).is_ok());
+      images.push_back(image_of(bulk, "/f"));
+
+      MiniDfs streamed = make_dfs(25, 7, &pool);
+      Client client(streamed);
+      auto writer = client.create("/f", c.spec, c.block_size);
+      ASSERT_TRUE(writer.is_ok());
+      const std::size_t records = streamed.namenode().total_journal_records();
+      ASSERT_TRUE(writer->append(data).is_ok());
+      // One kAllocate for the whole run and one kStore for its bytes.
+      EXPECT_EQ(streamed.namenode().total_journal_records() - records, 2u)
+          << c.spec << " workers=" << workers;
+      EXPECT_EQ(streamed.stat("/f")->length, data.size());
+      EXPECT_EQ(writer->stats().zero_copy_bytes, data.size());
+      ASSERT_TRUE(writer->close().is_ok());
+      images.push_back(image_of(streamed, "/f"));
+      EXPECT_EQ(*streamed.read_file("/f"), data);
+    }
+    EXPECT_EQ(images.front().store_records, 1u) << c.spec;
+    EXPECT_EQ(images.front().blocks.size(),
+              c.stripes * ec::make_code(c.spec).value()->layout().num_slots())
+        << c.spec;
+    for (std::size_t i = 1; i < images.size(); ++i) {
+      EXPECT_TRUE(images[i] == images.front()) << c.spec << " run " << i;
+    }
+  }
+}
+
+TEST(FileWriter, AlignedAppendThatCannotPlaceRollsBack) {
+  // The first aligned append lands; then too few nodes are left to place
+  // a pentagon stripe, so the next aligned append fails at allocation.
+  // Both it and close() report the error, and the rollback leaves no
+  // block of the path on any DataNode.
+  for (const std::size_t workers : {0u, 4u}) {
+    exec::ThreadPool pool(workers);
+    MiniDfs dfs = make_dfs(7, 7, &pool);
+    Client client(dfs);
+    const std::size_t stripe_bytes = data_blocks("pentagon") * kBlockSize;
+    const Buffer data = payload(4 * stripe_bytes);
+    auto writer = client.create("/f", "pentagon", kBlockSize);
+    ASSERT_TRUE(writer.is_ok());
+    ASSERT_TRUE(
+        writer->append(ByteSpan(data).first(2 * stripe_bytes)).is_ok());
+    EXPECT_GT(dfs.stored_bytes(), 0u);
+
+    for (cluster::NodeId node = 0; node < 3; ++node) {
+      ASSERT_TRUE(dfs.fail_node(node).is_ok());
+    }
+    const Status failed =
+        writer->append(ByteSpan(data).subspan(2 * stripe_bytes));
+    EXPECT_EQ(failed.code(), StatusCode::kResourceExhausted)
+        << "workers=" << workers;
+    EXPECT_EQ(writer->bytes_appended(), 2 * stripe_bytes);
+    EXPECT_EQ(writer->close().code(), StatusCode::kResourceExhausted);
+
+    for (std::size_t n = 0; n < dfs.topology().num_nodes; ++n) {
+      const DataNode& dn = dfs.datanode(static_cast<cluster::NodeId>(n));
+      EXPECT_TRUE(dn.stored_addresses().empty())
+          << "node " << n << " workers=" << workers;
+    }
+    EXPECT_EQ(dfs.catalog().num_stripes(), 0u);
+    EXPECT_EQ(dfs.stat("/f").status().code(), StatusCode::kNotFound);
+  }
 }
 
 TEST(FileWriter, StatShowsOpenThenSealed) {
